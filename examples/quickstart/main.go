@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -21,7 +22,7 @@ func main() {
 	p := repro.NewPipeline(cfg)
 
 	fmt.Println("running the defect-oriented test path for the comparator macro...")
-	run, err := p.RunMacro("comparator", false)
+	run, err := p.RunMacro(context.Background(), "comparator", false)
 	if err != nil {
 		log.Fatal(err)
 	}

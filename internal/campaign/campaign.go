@@ -51,14 +51,10 @@ type Options struct {
 	// it is recorded as failed and the campaign degrades around it
 	// (default 1 retry).
 	MaxRetries int
-	// Checkpoint is the path of the JSON checkpoint file ("" disables
-	// checkpointing unless Store is set).
-	Checkpoint string
-	// Store overrides the checkpoint persistence backend. nil selects
-	// the single-file FileStore at the Checkpoint path (and disables
-	// checkpointing when that is empty too); the job server passes a
-	// shared content-addressed DirStore here so every job's checkpoint
-	// survives daemon restarts under its own fingerprint.
+	// Store is the checkpoint persistence backend (nil disables
+	// checkpointing): a single-file FileStore for one CLI run, or the
+	// job server's shared content-addressed DirStore, under which every
+	// job's checkpoint survives daemon restarts by its own fingerprint.
 	Store Store
 	// Gate, when non-nil, admits each live unit execution through an
 	// external slot budget. Several concurrent campaigns sharing one
@@ -104,29 +100,6 @@ type Progress struct {
 	Completed int `json:"completed"`
 	Restored  int `json:"restored"`
 	Failed    int `json:"failed"`
-}
-
-// store resolves the checkpoint backend: the explicit Store, the
-// FileStore at the Checkpoint path, or nil (checkpointing disabled).
-func (o Options) store() Store {
-	if o.Store != nil {
-		return o.Store
-	}
-	if o.Checkpoint != "" {
-		return FileStore{Path: o.Checkpoint}
-	}
-	return nil
-}
-
-// storeName names the checkpoint backend in errors.
-func (o Options) storeName() string {
-	if o.Store == nil && o.Checkpoint != "" {
-		return o.Checkpoint
-	}
-	if s, ok := o.store().(fmt.Stringer); ok {
-		return s.String()
-	}
-	return fmt.Sprintf("%T", o.store())
 }
 
 func (o Options) workers() int {
@@ -180,16 +153,20 @@ func Execute(ctx context.Context, opts Options, roots []Unit) (*Outcome, error) 
 	e.stats.Workers = opts.workers()
 	e.stats.Groups = map[string]*GroupStats{}
 
-	if st := opts.store(); opts.Resume && st != nil {
+	if st := opts.Store; opts.Resume && st != nil {
 		ck, err := st.Load(opts.Fingerprint)
 		if err != nil {
 			return nil, err
 		}
 		if ck != nil {
 			if ck.Fingerprint != opts.Fingerprint {
+				name := fmt.Sprintf("%T", st)
+				if s, ok := st.(fmt.Stringer); ok {
+					name = s.String()
+				}
 				return nil, fmt.Errorf(
 					"campaign: checkpoint %s was produced by a different configuration (fingerprint %q, want %q)",
-					opts.storeName(), ck.Fingerprint, opts.Fingerprint)
+					name, ck.Fingerprint, opts.Fingerprint)
 			}
 			e.restored = ck.Results
 		}
@@ -243,7 +220,7 @@ func Execute(ctx context.Context, opts Options, roots []Unit) (*Outcome, error) 
 	e.mu.Unlock()
 
 	// Final flush so interrupted campaigns can resume.
-	if opts.store() != nil {
+	if opts.Store != nil {
 		if err := e.saveCheckpoint(); err != nil && ckErr == nil {
 			ckErr = err
 		}

@@ -177,7 +177,7 @@ func TestRetryAndPanicRecovery(t *testing.T) {
 func TestCheckpointResume(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "sub", "run.ckpt")
 	opts := Options{
-		Workers: 3, Checkpoint: ckpt, CheckpointEvery: 4,
+		Workers: 3, Store: FileStore{Path: ckpt}, CheckpointEvery: 4,
 		Fingerprint: "test-v1", Decode: decodeInt,
 	}
 	first, err := Execute(context.Background(), opts, fanoutRoots(3, 5, nil))
@@ -214,7 +214,7 @@ func TestCheckpointResume(t *testing.T) {
 // configuration must refuse.
 func TestCheckpointFingerprintMismatch(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
-	opts := Options{Checkpoint: ckpt, Fingerprint: "cfg-a", Decode: decodeInt}
+	opts := Options{Store: FileStore{Path: ckpt}, Fingerprint: "cfg-a", Decode: decodeInt}
 	if _, err := Execute(context.Background(), opts, fanoutRoots(1, 1, nil)); err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestCheckpointFingerprintMismatch(t *testing.T) {
 func TestCancelThenResume(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
 	opts := Options{
-		Workers: 2, Checkpoint: ckpt, CheckpointEvery: 1,
+		Workers: 2, Store: FileStore{Path: ckpt}, CheckpointEvery: 1,
 		Fingerprint: "test-v1", Decode: decodeInt,
 	}
 
@@ -316,7 +316,7 @@ func TestUndecodablePayloadReruns(t *testing.T) {
 	}
 	var ran sync.Map
 	out, err := Execute(context.Background(), Options{
-		Checkpoint: ckpt, Resume: true, Fingerprint: "test-v1", Decode: decodeInt,
+		Store: FileStore{Path: ckpt}, Resume: true, Fingerprint: "test-v1", Decode: decodeInt,
 	}, fanoutRoots(1, 2, &ran))
 	if err != nil {
 		t.Fatal(err)

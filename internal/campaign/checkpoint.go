@@ -7,7 +7,6 @@ import "encoding/json"
 // full history) through the configured Store. ckptMu keeps concurrent
 // flushes of this engine from racing on the store's temp file.
 func (e *engine) saveCheckpoint() error {
-	st := e.opts.store()
 	e.ckptMu.Lock()
 	defer e.ckptMu.Unlock()
 	e.mu.Lock()
@@ -25,5 +24,5 @@ func (e *engine) saveCheckpoint() error {
 	ck.Units = len(ck.Results)
 	e.stats.Checkpoints++
 	e.mu.Unlock()
-	return st.Save(ck)
+	return e.opts.Store.Save(ck)
 }

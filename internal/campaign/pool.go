@@ -138,7 +138,7 @@ func (e *engine) worker(ctx context.Context, id int) {
 			if restored {
 				e.stats.Restored++
 				g.Restored++
-			} else if e.opts.store() != nil {
+			} else if e.opts.Store != nil {
 				if raw, mErr := json.Marshal(res); mErr == nil {
 					e.raw[u.Key] = raw
 				} else if e.ckptErr == nil {
@@ -157,7 +157,7 @@ func (e *engine) worker(ctx context.Context, id int) {
 			Failed:    e.stats.Failed,
 		}
 		flush := false
-		if e.opts.store() != nil && !restored && err == nil {
+		if e.opts.Store != nil && !restored && err == nil {
 			e.sinceCkpt++
 			if e.sinceCkpt >= e.opts.checkpointEvery() {
 				e.sinceCkpt = 0

@@ -47,16 +47,15 @@ type Store interface {
 	List() ([]string, error)
 }
 
-// FileStore is the historical single-file checkpoint backend: one
-// atomic-JSON document at a fixed path, holding the checkpoint of
-// exactly one configuration. It is what Options.Checkpoint selects.
+// FileStore is the single-file checkpoint backend: one atomic-JSON
+// document at a fixed path, holding the checkpoint of exactly one
+// configuration (dotest -checkpoint).
 type FileStore struct {
 	// Path of the JSON checkpoint file.
 	Path string
 }
 
-// String names the store in engine errors (the checkpoint path, as the
-// pre-Store error messages did).
+// String names the store in engine errors: the checkpoint path.
 func (s FileStore) String() string { return s.Path }
 
 // Load reads the checkpoint; a missing file is not an error (nil
@@ -98,17 +97,11 @@ const ckptExt = ".ckpt.json"
 // String names the store in engine errors.
 func (s DirStore) String() string { return s.Dir }
 
-// contentAddress maps a fingerprint to its content-addressed filename,
-// shared by DirStore (files in a directory) and ObjectStore (keys in a
-// bucket) so the two layouts are interchangeable.
-func contentAddress(fingerprint string) string {
-	sum := sha256.Sum256([]byte(fingerprint))
-	return hex.EncodeToString(sum[:16]) + ckptExt
-}
-
-// path maps a fingerprint to its content address inside the directory.
+// path maps a fingerprint to its content address inside the directory:
+// the first 16 bytes of the fingerprint's SHA-256, hex-encoded.
 func (s DirStore) path(fingerprint string) string {
-	return filepath.Join(s.Dir, contentAddress(fingerprint))
+	sum := sha256.Sum256([]byte(fingerprint))
+	return filepath.Join(s.Dir, hex.EncodeToString(sum[:16])+ckptExt)
 }
 
 // Load reads the checkpoint stored for fingerprint (nil when absent).
@@ -170,18 +163,13 @@ func readCheckpointFile(path string) (*Checkpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("campaign: read checkpoint: %w", err)
 	}
-	return parseCheckpoint(data, path)
-}
-
-// parseCheckpoint decodes one checkpoint document (name labels errors).
-func parseCheckpoint(data []byte, name string) (*Checkpoint, error) {
 	var ck Checkpoint
 	if err := json.Unmarshal(data, &ck); err != nil {
-		return nil, fmt.Errorf("campaign: parse checkpoint %s: %w", name, err)
+		return nil, fmt.Errorf("campaign: parse checkpoint %s: %w", path, err)
 	}
 	if ck.Version != checkpointVersion {
 		return nil, fmt.Errorf("campaign: checkpoint %s has version %d, want %d",
-			name, ck.Version, checkpointVersion)
+			path, ck.Version, checkpointVersion)
 	}
 	return &ck, nil
 }

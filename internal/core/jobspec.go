@@ -1,10 +1,11 @@
 // Job-scoped campaign entry: a JobSpec is the wire form of one campaign
-// submission to the job server (or any other embedder). It mirrors the
-// CLI flag semantics of cmd/dotest and cmd/campaign exactly — a POSTed
-// {"quick":true} resolves to the same Config as `dotest -quick`, and an
-// explicit field overrides the quick preset the way flag.Visit re-applies
-// explicit flags — so an HTTP submission is byte-identical to the CLI
-// run of the same spec.
+// submission to the job server (or any other embedder), and the one
+// resolution rule from settings to Config: cmd/dotest fills a JobSpec
+// from the flags set on its command line and resolves it here too. A
+// POSTed {"quick":true} therefore resolves to the same Config as
+// `dotest -quick`, an explicit field (or flag) overrides the preset,
+// and an HTTP submission is byte-identical to the CLI run of the same
+// spec.
 package core
 
 import (
@@ -44,14 +45,15 @@ type JobSpec struct {
 	// MaxClassesPerMacro caps the per-macro class analyses (0 = all).
 	MaxClassesPerMacro int `json:"max_classes_per_macro,omitempty"`
 	// DfT selects the design-for-test settings to run: "pre", "post" or
-	// "both" ("" = "both", like the CLIs).
+	// "both" ("" = "both", like dotest).
 	DfT string `json:"dft,omitempty"`
 	// Workers is the per-job worker hint (0 = the server's budget). Not
 	// part of the fingerprint: parallelism never changes results.
 	Workers int `json:"workers,omitempty"`
 }
 
-// Validate rejects specs that no CLI invocation could express.
+// Validate rejects malformed specs: an unknown DfT setting, a negative
+// field, or an unsupported vehicle resolution.
 func (s JobSpec) Validate() error {
 	switch s.DfT {
 	case "", "pre", "post", "both":
@@ -70,9 +72,9 @@ func (s JobSpec) Validate() error {
 	return nil
 }
 
-// Config resolves the spec to the pipeline configuration, mirroring the
-// CLI: the quick preset (or the full-fidelity default) first, then the
-// explicitly set fields on top.
+// Config resolves the spec to the pipeline configuration: the quick
+// preset (or the full-fidelity default) first, then the set fields on
+// top. A zero field keeps the preset's value.
 func (s JobSpec) Config() Config {
 	var cfg Config
 	if s.Quick {

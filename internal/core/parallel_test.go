@@ -96,7 +96,7 @@ func TestCampaignCheckpointResume(t *testing.T) {
 	var done atomic.Int32
 	_, partial, err := core.RunParallel(ctx, cfg, false, campaign.Options{
 		Workers:         2,
-		Checkpoint:      ckpt,
+		Store:           campaign.FileStore{Path: ckpt},
 		CheckpointEvery: 1,
 		OnUnitDone: func(string, bool) {
 			if done.Add(1) == 4 {
@@ -112,9 +112,9 @@ func TestCampaignCheckpointResume(t *testing.T) {
 	}
 
 	run, out, err := core.RunParallel(context.Background(), cfg, false, campaign.Options{
-		Workers:    2,
-		Checkpoint: ckpt,
-		Resume:     true,
+		Workers: 2,
+		Store:   campaign.FileStore{Path: ckpt},
+		Resume:  true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -137,13 +137,13 @@ func TestRunParallelFingerprintGuard(t *testing.T) {
 	cfg.MaxClassesPerMacro = 1
 	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
 	if _, _, err := core.RunParallel(context.Background(), cfg, false,
-		campaign.Options{Workers: 2, Checkpoint: ckpt}); err != nil {
+		campaign.Options{Workers: 2, Store: campaign.FileStore{Path: ckpt}}); err != nil {
 		t.Fatal(err)
 	}
 	other := cfg
 	other.Seed++
 	if _, _, err := core.RunParallel(context.Background(), other, false,
-		campaign.Options{Workers: 2, Checkpoint: ckpt, Resume: true}); err == nil {
+		campaign.Options{Workers: 2, Store: campaign.FileStore{Path: ckpt}, Resume: true}); err == nil {
 		t.Fatal("resume across configs must fail the fingerprint check")
 	}
 	// The good-space settings shape every detection, so a checkpoint
@@ -152,13 +152,13 @@ func TestRunParallelFingerprintGuard(t *testing.T) {
 	mcChanged := cfg
 	mcChanged.MCSamples++
 	if _, _, err := core.RunParallel(context.Background(), mcChanged, false,
-		campaign.Options{Workers: 2, Checkpoint: ckpt, Resume: true}); err == nil {
+		campaign.Options{Workers: 2, Store: campaign.FileStore{Path: ckpt}, Resume: true}); err == nil {
 		t.Fatal("resume across MCSamples settings must fail the fingerprint check")
 	}
 	nsChanged := cfg
 	nsChanged.NSigma++
 	if _, _, err := core.RunParallel(context.Background(), nsChanged, false,
-		campaign.Options{Workers: 2, Checkpoint: ckpt, Resume: true}); err == nil {
+		campaign.Options{Workers: 2, Store: campaign.FileStore{Path: ckpt}, Resume: true}); err == nil {
 		t.Fatal("resume across NSigma settings must fail the fingerprint check")
 	}
 }

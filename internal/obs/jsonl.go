@@ -7,10 +7,10 @@ import (
 	"time"
 )
 
-// JSONLWriter is a Sink streaming one WireRecord per span to w —
-// the `-trace` output of cmd/dotest and cmd/campaign. Writes are
-// serialised internally; ordering across concurrent workers follows
-// span completion, not span start.
+// JSONLWriter is a Sink streaming one WireRecord per span to w — the
+// `-trace` output of cmd/dotest. Writes are serialised internally;
+// ordering across concurrent workers follows span completion, not span
+// start.
 type JSONLWriter struct {
 	mu    sync.Mutex
 	enc   *json.Encoder

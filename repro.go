@@ -14,31 +14,28 @@
 // Quick start:
 //
 //	p := repro.NewPipeline(repro.QuickConfig())
-//	run, err := p.Run(false) // pre-DfT
+//	run, err := p.Run(context.Background(), false) // pre-DfT
 //	...
 //	cov := repro.Fig4(run, false)
 //	fmt.Printf("fault coverage: %.1f%%\n", cov.Total())
 //
 // # Cancellation and observability
 //
-// The underlying pipeline (internal/core) takes a context.Context on
-// every entry point — Run, RunMacro, DiscoverClasses, AnalyzeClass,
-// GoodSpace — and honours cancellation deep inside the analog kernel:
-// the Newton loop, the OP fallback ladder and the transient stepper all
-// poll ctx.Done, so a cancelled context aborts a fault simulation
-// mid-solve in bounded time. This package's Pipeline keeps the original
-// context-free Run/RunMacro signatures as thin wrappers over
-// context.Background; callers that need cancellation or per-stage
-// tracing (see internal/obs) use the embedded core.Pipeline directly:
+// The pipeline takes a context.Context on every entry point — Run,
+// RunMacro, DiscoverClasses, AnalyzeClass, GoodSpace — and honours
+// cancellation deep inside the analog kernel: the Newton loop, the OP
+// fallback ladder and the transient stepper all poll ctx.Done, so a
+// cancelled context aborts a fault simulation mid-solve in bounded
+// time. Per-stage tracing attaches through the Obs field (see
+// internal/obs):
 //
 //	p := repro.NewPipeline(repro.QuickConfig())
 //	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 //	defer cancel()
-//	run, err := p.Pipeline.Run(ctx, false)
+//	run, err := p.Run(ctx, false)
 package repro
 
 import (
-	"context"
 	"io"
 
 	"repro/internal/core"
@@ -65,32 +62,13 @@ type (
 	Fig3Summary = core.Fig3Summary
 	// TestPlan is the production test-time model.
 	TestPlan = testgen.Plan
+	// Pipeline binds the five-macro Flash ADC case study to a Config
+	// (Run, RunMacro, AnalyzeClass, RunParallel, …).
+	Pipeline = core.Pipeline
 )
 
-// Pipeline binds the five-macro Flash ADC case study to a Config. It
-// wraps core.Pipeline, preserving the historical context-free Run and
-// RunMacro signatures; the embedded core.Pipeline exposes the full
-// context-taking API (Run, RunMacro, AnalyzeClass, RunParallel, …).
-type Pipeline struct {
-	*core.Pipeline
-}
-
 // NewPipeline constructs the case-study pipeline.
-func NewPipeline(cfg Config) *Pipeline { return &Pipeline{core.NewPipeline(cfg)} }
-
-// Run executes the whole methodology for one DfT setting under a
-// background context. Use the embedded core.Pipeline's Run for
-// cancellation.
-func (p *Pipeline) Run(dft bool) (*Run, error) {
-	return p.Pipeline.Run(context.Background(), dft)
-}
-
-// RunMacro executes the methodology for a single macro under a
-// background context. Use the embedded core.Pipeline's RunMacro for
-// cancellation.
-func (p *Pipeline) RunMacro(macroName string, dft bool) (*MacroRun, error) {
-	return p.Pipeline.RunMacro(context.Background(), macroName, dft)
-}
+func NewPipeline(cfg Config) *Pipeline { return core.NewPipeline(cfg) }
 
 // DefaultConfig is the full-fidelity configuration (minutes of CPU).
 func DefaultConfig() Config { return core.DefaultConfig() }

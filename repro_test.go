@@ -2,6 +2,7 @@ package repro_test
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -17,7 +18,7 @@ func TestPublicAPIQuick(t *testing.T) {
 	cfg := repro.QuickConfig()
 	cfg.MaxClassesPerMacro = 10
 	p := repro.NewPipeline(cfg)
-	run, err := p.RunMacro("comparator", false)
+	run, err := p.RunMacro(context.Background(), "comparator", false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,6 +32,10 @@
 #                        sprinkle→collapse→inject→classify→detect flow
 #                        (runs under SHORT=1 too: it is the only stage
 #                        covering a non-default vehicle end-to-end)
+#   8b. checkpoint smoke — (runs under SHORT=1 too) the same 6-bit run on
+#                        the campaign engine with -checkpoint, then again
+#                        with -resume; both JSON outputs must equal the
+#                        serial run's byte for byte
 #   9. campaignd smoke — (skipped with SHORT=1) start the job server,
 #                        submit a -quick job over HTTP, stream it to
 #                        completion, verify the result bytes are
@@ -43,6 +47,9 @@
 #                        remote protocol, verify the served bytes are
 #                        again identical to the direct CLI run, and stop
 #                        the workers with SIGTERM (exit 130)
+#  11. line count      — print the production Go line count (non-test
+#                        .go files outside perfbench/, .bench_build/ and
+#                        the .bitref/ comparison worktree)
 set -eu
 
 fmt=$(gofmt -l .)
@@ -115,22 +122,32 @@ go test $short -race ./...
 go test -bench=. -benchtime=1x ./...
 go run ./cmd/benchkernel -benchtime 100ms -check BENCH_kernel.json
 
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+go build -o "$tmp/dotest" ./cmd/dotest
+
 # Vehicle smoke: the non-default 6-bit vehicle must complete the whole
 # methodology (layout → sprinkle → collapse → inject → classify →
-# detect). Quick config, pre-DfT only, classes capped — this is a
-# does-it-run gate, not a coverage measurement. Kept under SHORT=1: no
-# other stage exercises a non-default vehicle end-to-end.
-go run ./cmd/dotest -quick -bits 6 -dft pre -maxclasses 4 >/dev/null
+# detect). Quick config (25 classes per macro), pre-DfT only — this is
+# a does-it-run gate, not a coverage measurement. Kept under SHORT=1:
+# no other stage exercises a non-default vehicle end-to-end.
+"$tmp/dotest" -quick -bits 6 -dft pre -json "$tmp/serial.json" >/dev/null
 echo "tier1: 6-bit vehicle smoke passed"
+
+# Checkpoint smoke: the campaign engine's checkpoint/resume path end to
+# end. The second run restores every unit from the first run's
+# checkpoint; both must write the serial run's exact bytes.
+"$tmp/dotest" -quick -bits 6 -dft pre -workers 2 -checkpoint "$tmp/c" -json "$tmp/a.json" >/dev/null
+"$tmp/dotest" -quick -bits 6 -dft pre -workers 2 -checkpoint "$tmp/c" -resume -json "$tmp/b.json" >/dev/null
+cmp "$tmp/serial.json" "$tmp/a.json"
+cmp "$tmp/serial.json" "$tmp/b.json"
+echo "tier1: checkpoint/resume smoke passed (byte-identical to the serial run)"
 
 # Campaignd smoke: the service path must be byte-identical to the CLI.
 # A job submitted over HTTP runs the same quick configuration as a
 # direct dotest run; the served result bytes must match exactly, and a
 # SIGTERM must drain the daemon to the conventional exit status 130.
 if [ -z "${SHORT:-}" ]; then
-	tmp=$(mktemp -d)
-	trap 'rm -rf "$tmp"' EXIT
-	go build -o "$tmp/dotest" ./cmd/dotest
 	go build -o "$tmp/campaignd" ./cmd/campaignd
 	go build -o "$tmp/campaignctl" ./cmd/campaignctl
 
@@ -208,5 +225,9 @@ if [ -z "${SHORT:-}" ]; then
 	fi
 	echo "tier1: campaignd smoke passed (byte-identical to dotest)"
 fi
+
+lines=$(find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' \
+	! -path './.bench_build/*' ! -path './.bitref/*' -exec cat {} + | wc -l)
+echo "tier1: production Go lines: $lines"
 
 echo "tier1: all stages passed"
