@@ -16,7 +16,9 @@
 // 2x ns/op regression or on an allocs/op increase beyond 0.1% (exactly
 // zero for the kernel cases, whose counts are deterministic), thresholds
 // loose enough that machine noise passes but a lost optimisation does
-// not.
+// not. The check runs at the snapshot's GOMAXPROCS: the good-space cases
+// size their die workers from it, and each worker owns an engine pool,
+// so allocs/op is only comparable at the same setting.
 package main
 
 import (
@@ -66,6 +68,18 @@ func main() {
 		log.Fatal(err)
 	}
 
+	var base *Snapshot
+	if *check != "" {
+		var err error
+		if base, err = loadSnapshot(*check); err != nil {
+			log.Fatal(err)
+		}
+		if base.GOMAXPROCS > 0 {
+			runtime.GOMAXPROCS(base.GOMAXPROCS)
+		}
+		fmt.Printf("bench guard: GOMAXPROCS=%d (from %s)\n", runtime.GOMAXPROCS(0), *check)
+	}
+
 	snap := Snapshot{
 		GoVersion:  runtime.Version(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
@@ -92,8 +106,8 @@ func main() {
 		}
 	}
 
-	if *check != "" {
-		if err := checkAgainst(*check, snap.Results); err != nil {
+	if base != nil {
+		if err := checkAgainst(*check, base, snap.Results); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("bench guard: %d cases within bounds of %s\n", len(snap.Results), *check)
@@ -121,7 +135,20 @@ func main() {
 // that on the analyzeclass case) does not.
 const maxNsRegression = 2.0
 
-// checkAgainst compares fresh results to the snapshot at path. A case
+// loadSnapshot reads a BENCH_kernel.json snapshot.
+func loadSnapshot(path string) (*Snapshot, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var snap Snapshot
+	if err := json.Unmarshal(data, &snap); err != nil {
+		return nil, fmt.Errorf("%s: %v", path, err)
+	}
+	return &snap, nil
+}
+
+// checkAgainst compares fresh results to snap, read from path. A case
 // fails on a more than maxNsRegression ns/op slowdown or on an
 // allocs/op increase beyond 0.1% of the snapshot. Kernel-level
 // allocation counts are deterministic per op — for them the slack
@@ -131,15 +158,7 @@ const maxNsRegression = 2.0
 // and map-growth amortisation. Cases on only one side are reported but
 // do not fail (the suite grows over time; the snapshot is regenerated
 // whenever it does).
-func checkAgainst(path string, fresh []Result) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var snap Snapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		return fmt.Errorf("%s: %v", path, err)
-	}
+func checkAgainst(path string, snap *Snapshot, fresh []Result) error {
 	base := map[string]Result{}
 	for _, r := range snap.Results {
 		base[r.Name] = r

@@ -20,23 +20,29 @@ func sumCounter(agg *obs.Agg, c obs.Counter) int64 {
 }
 
 // TestRebindCounters pins the compile-once/revalue-many observability
-// contract at the pipeline level: class analyses of conductance-only
-// faults are served by pooled engines revalued in place (rebind_hits
-// dominating full_rebuilds, compiled sparse patterns retained), while a
-// topology-changing fault provably falls back to the full-build path.
+// contract at the pipeline level: the fault-free engines behind class
+// analyses (good-space dies, nominal parts) are served by pooled
+// engines revalued in place (rebind_hits dominating full_rebuilds,
+// compiled sparse patterns retained), while every faulty analysis —
+// conductance-only or topology-changing — builds its own engine once.
 func TestRebindCounters(t *testing.T) {
 	agg := obs.NewAgg()
 	p := NewPipeline(QuickConfig())
 	p.Obs = obs.New(agg)
 	ctx := context.Background()
 
-	// Two analyses of a conductance-only class: the first builds (and
-	// pools) engines, the second is served by rebind.
+	// Two analyses of a conductance-only class: the first also compiles
+	// the good space and the nominal parts; the second only builds its
+	// faulty engine.
 	cls := faults.Class{Fault: faults.Fault{
 		Kind: faults.Short, Nets: []string{"o1", "vss"}, Res: 0.2}, Count: 1}
 	for i := 0; i < 2; i++ {
+		before := sumCounter(agg, obs.CtrFullRebuilds)
 		if _, err := p.AnalyzeClass(ctx, "comparator", cls, false, false); err != nil {
 			t.Fatal(err)
+		}
+		if d := sumCounter(agg, obs.CtrFullRebuilds) - before; i == 1 && d != 1 {
+			t.Fatalf("repeated conductance-only analysis counted %d full rebuilds, want 1", d)
 		}
 	}
 	rebinds := sumCounter(agg, obs.CtrRebindHits)
@@ -55,9 +61,8 @@ func TestRebindCounters(t *testing.T) {
 		t.Fatal("rebind hits must retain compiled sparse patterns (pattern_reuse_hits = 0)")
 	}
 
-	// A topology-changing fault (an open splits a node) must take the
-	// full-build path every time — full_rebuilds grows on each repeat,
-	// and the pool serves it no rebinds.
+	// A topology-changing fault (an open splits a node) takes the
+	// full-build path every time — full_rebuilds grows on each repeat.
 	open := faults.Class{Fault: faults.Fault{
 		Kind: faults.Open, Nets: []string{"o1"},
 		FarTerminals: []faults.Terminal{{Device: "m1", Net: "o1"}}}, Count: 1}

@@ -238,22 +238,108 @@ type InjectOptions struct {
 // drain-source bridge for shorted devices; and 500 Ω ∥ 1 fF for
 // non-catastrophic variants.
 func Inject(ckt *netlist.Circuit, f Fault, proc *process.Process, opt InjectOptions) error {
+	return model(f, proc, opt, &editor{ckt: ckt})
+}
+
+// editor is how a fault model changes a circuit. It has two
+// implementations: apply (rec nil, used by Inject) makes each change;
+// record (rec set, used by Plan) leaves the circuit as it is and notes
+// the change in rec instead — nodes Inject would create get IDs past
+// the circuit's own, and retargets are kept in moved, so later steps of
+// the model see the circuit as Inject's earlier steps would have left
+// it. Running one model through either keeps Inject and Plan in step.
+// It is one concrete type rather than an interface because a value
+// behind an interface escapes to the heap, and Plan runs once per
+// ladder fault on the allocation-counted rank-1 path.
+type editor struct {
+	ckt     *netlist.Circuit
+	rec     *InjectResult
+	created map[string]netlist.NodeID
+	moved   map[netlist.Element]map[int]netlist.NodeID
+}
+
+// node returns the named node, creating it when the circuit lacks it.
+func (e *editor) node(name string) netlist.NodeID {
+	if e.rec == nil {
+		return e.ckt.Node(name)
+	}
+	if id, ok := e.lookup(name); ok {
+		return id
+	}
+	e.rec.TopologyChanged = true
+	if e.created == nil {
+		e.created = map[string]netlist.NodeID{}
+	}
+	id := netlist.NodeID(e.ckt.NumNodes() + len(e.created))
+	e.created[name] = id
+	return id
+}
+
+// lookup returns the named node without creating it.
+func (e *editor) lookup(name string) (netlist.NodeID, bool) {
+	if id, ok := e.ckt.NodeByName(name); ok {
+		return id, true
+	}
+	id, ok := e.created[name]
+	return id, ok
+}
+
+// add appends an element.
+func (e *editor) add(el netlist.Element) {
+	if e.rec == nil {
+		e.ckt.Add(el)
+		return
+	}
+	e.rec.Added = append(e.rec.Added, el)
+}
+
+// terminals returns the nodes el's terminals are on now.
+func (e *editor) terminals(el netlist.Element) []netlist.NodeID {
+	nodes := el.Nodes()
+	if m := e.moved[el]; m != nil {
+		nodes = append([]netlist.NodeID(nil), nodes...)
+		for i, n := range m {
+			nodes[i] = n
+		}
+	}
+	return nodes
+}
+
+// retarget moves terminal i of el to node to.
+func (e *editor) retarget(el netlist.Element, i int, to netlist.NodeID) {
+	if e.rec == nil {
+		el.Retarget(i, to)
+		return
+	}
+	e.rec.TopologyChanged = true
+	if e.moved == nil {
+		e.moved = map[netlist.Element]map[int]netlist.NodeID{}
+	}
+	if e.moved[el] == nil {
+		e.moved[el] = map[int]netlist.NodeID{}
+	}
+	e.moved[el][i] = to
+}
+
+// model runs the fault model for f against ed's circuit. Devices are
+// looked up in the circuit directly; every change goes through ed.
+func model(f Fault, proc *process.Process, opt InjectOptions, ed *editor) error {
 	resolve := opt.Resolve
 	if resolve == nil {
 		resolve = DefaultResolver
 	}
-	node := func(net string) netlist.NodeID { return ckt.Node(resolve(net)) }
+	node := func(net string) netlist.NodeID { return ed.node(resolve(net)) }
 
 	bridge := func(tag string, a, b netlist.NodeID, r float64) {
 		if a == b {
 			return
 		}
 		if opt.NonCat && (f.Kind == Short || f.Kind == ExtraContactKind) {
-			ckt.Add(&netlist.Resistor{Label: "flt." + tag + ".r", A: a, B: b, R: proc.NonCatRes})
-			ckt.Add(&netlist.Capacitor{Label: "flt." + tag + ".c", A: a, B: b, C: proc.NonCatCap})
+			ed.add(&netlist.Resistor{Label: "flt." + tag + ".r", A: a, B: b, R: proc.NonCatRes})
+			ed.add(&netlist.Capacitor{Label: "flt." + tag + ".c", A: a, B: b, C: proc.NonCatCap})
 			return
 		}
-		ckt.Add(&netlist.Resistor{Label: "flt." + tag, A: a, B: b, R: r})
+		ed.add(&netlist.Resistor{Label: "flt." + tag, A: a, B: b, R: r})
 	}
 
 	switch f.Kind {
@@ -279,7 +365,7 @@ func Inject(ckt *netlist.Circuit, f Fault, proc *process.Process, opt InjectOpti
 		return nil
 
 	case GOSPinhole:
-		mos, ok := ckt.Element(f.Device).(*netlist.MOSFET)
+		mos, ok := ed.ckt.Element(f.Device).(*netlist.MOSFET)
 		if !ok {
 			return fmt.Errorf("faults: GOS pinhole on unknown device %q", f.Device)
 		}
@@ -289,20 +375,20 @@ func Inject(ckt *netlist.Circuit, f Fault, proc *process.Process, opt InjectOpti
 		}
 		switch opt.GOS {
 		case GOSToSource:
-			ckt.Add(&netlist.Resistor{Label: "flt.gos", A: mos.G, B: mos.S, R: r})
+			ed.add(&netlist.Resistor{Label: "flt.gos", A: mos.G, B: mos.S, R: r})
 		case GOSToDrain:
-			ckt.Add(&netlist.Resistor{Label: "flt.gos", A: mos.G, B: mos.D, R: r})
+			ed.add(&netlist.Resistor{Label: "flt.gos", A: mos.G, B: mos.D, R: r})
 		case GOSToChannel:
 			// Channel midpoint: pinhole feeds both junctions.
-			ckt.Add(&netlist.Resistor{Label: "flt.gos.s", A: mos.G, B: mos.S, R: 2 * r})
-			ckt.Add(&netlist.Resistor{Label: "flt.gos.d", A: mos.G, B: mos.D, R: 2 * r})
+			ed.add(&netlist.Resistor{Label: "flt.gos.s", A: mos.G, B: mos.S, R: 2 * r})
+			ed.add(&netlist.Resistor{Label: "flt.gos.d", A: mos.G, B: mos.D, R: 2 * r})
 		default:
 			return fmt.Errorf("faults: bad GOS variant %d", opt.GOS)
 		}
 		return nil
 
 	case ShortedDevice:
-		mos, ok := ckt.Element(f.Device).(*netlist.MOSFET)
+		mos, ok := ed.ckt.Element(f.Device).(*netlist.MOSFET)
 		if !ok {
 			return fmt.Errorf("faults: shorted device %q not found", f.Device)
 		}
@@ -310,37 +396,34 @@ func Inject(ckt *netlist.Circuit, f Fault, proc *process.Process, opt InjectOpti
 		if r <= 0 {
 			r = proc.ShortedDeviceRes
 		}
-		ckt.Add(&netlist.Resistor{Label: "flt.sdev", A: mos.D, B: mos.S, R: r})
+		ed.add(&netlist.Resistor{Label: "flt.sdev", A: mos.D, B: mos.S, R: r})
 		return nil
 
 	case Open:
 		if len(f.Nets) != 1 {
 			return fmt.Errorf("faults: open needs exactly 1 net")
 		}
-		split := ckt.Node(resolve(f.Nets[0]) + "#split")
-		if err := retargetFar(ckt, f.FarTerminals, resolve, split); err != nil {
-			return err
-		}
-		return nil
+		split := ed.node(resolve(f.Nets[0]) + "#split")
+		return retargetFar(ed, f.FarTerminals, resolve, split)
 
 	case NewDevice:
 		if len(f.Nets) != 1 {
 			return fmt.Errorf("faults: new device needs exactly 1 net")
 		}
 		orig := node(f.Nets[0])
-		split := ckt.Node(resolve(f.Nets[0]) + "#nd")
-		if err := retargetFar(ckt, f.FarTerminals, resolve, split); err != nil {
+		split := ed.node(resolve(f.Nets[0]) + "#nd")
+		if err := retargetFar(ed, f.FarTerminals, resolve, split); err != nil {
 			return err
 		}
 		var gate netlist.NodeID
 		if f.GateNet == "" {
 			// Floating parasitic gate: weakly tied to ground.
-			gate = ckt.Node(resolve(f.Nets[0]) + "#ndgate")
-			ckt.Add(&netlist.Resistor{Label: "flt.ndg", A: gate, B: netlist.Ground, R: 1e9})
+			gate = ed.node(resolve(f.Nets[0]) + "#ndgate")
+			ed.add(&netlist.Resistor{Label: "flt.ndg", A: gate, B: netlist.Ground, R: 1e9})
 		} else {
 			gate = node(f.GateNet)
 		}
-		ckt.Add(&netlist.MOSFET{
+		ed.add(&netlist.MOSFET{
 			Label: "flt.nd", D: orig, G: gate, S: split, B: netlist.Ground,
 			Model: netlist.NMOS1(), W: 2e-6, L: 2e-6,
 		})
@@ -351,23 +434,23 @@ func Inject(ckt *netlist.Circuit, f Fault, proc *process.Process, opt InjectOpti
 
 // retargetFar moves every terminal listed in far from its present net to
 // the split node.
-func retargetFar(ckt *netlist.Circuit, far []Terminal, resolve Resolver, split netlist.NodeID) error {
+func retargetFar(ed *editor, far []Terminal, resolve Resolver, split netlist.NodeID) error {
 	if len(far) == 0 {
 		return fmt.Errorf("faults: open with no far terminals")
 	}
 	for _, t := range far {
-		el := ckt.Element(t.Device)
+		el := ed.ckt.Element(t.Device)
 		if el == nil {
 			return fmt.Errorf("faults: open far terminal on unknown element %q", t.Device)
 		}
-		want, ok := ckt.NodeByName(resolve(t.Net))
+		want, ok := ed.lookup(resolve(t.Net))
 		if !ok {
 			return fmt.Errorf("faults: open net %q not in netlist", t.Net)
 		}
 		hit := false
-		for i, n := range el.Nodes() {
+		for i, n := range ed.terminals(el) {
 			if n == want {
-				el.Retarget(i, split)
+				ed.retarget(el, i, split)
 				hit = true
 			}
 		}

@@ -1,8 +1,6 @@
 package faults
 
 import (
-	"fmt"
-
 	"repro/internal/netlist"
 	"repro/internal/process"
 )
@@ -15,10 +13,9 @@ import (
 // that creates nodes or retargets terminals changes the system
 // dimension and must go through a full rebuild.
 type InjectResult struct {
-	// Added lists the elements Inject would append, in injection order,
-	// built against the inspected circuit's existing node IDs. Only
-	// meaningful when TopologyChanged is false; a topology-changing plan
-	// stops classifying at the first structural operation.
+	// Added lists the elements Inject would append, in injection order.
+	// Only meaningful when TopologyChanged is false: it is then built
+	// against the inspected circuit's existing node IDs.
 	Added []netlist.Element
 	// TopologyChanged reports that the model needs new nodes or terminal
 	// retargeting: opens and new devices (split nodes), or a bridge
@@ -27,155 +24,15 @@ type InjectResult struct {
 	TopologyChanged bool
 }
 
-// Plan is the read-only mirror of Inject: it reports the elements
-// Inject would add and whether the injection changes the circuit
-// topology, without mutating ckt. Errors are the same ones Inject would
-// return for a malformed fault, so a caller that plans first and only
-// injects non-topology-changing faults sees identical failures either
-// way. The pairing is pinned by a property test that runs both against
-// copies of the same circuit.
+// Plan runs Inject's fault model without mutating ckt: it reports the
+// elements Inject would add and whether the injection changes the
+// circuit topology. Both run the same model (see editor), so a malformed
+// fault errors identically out of either, and a property test pins the
+// pairing against copies of the same circuit.
 func Plan(ckt *netlist.Circuit, f Fault, proc *process.Process, opt InjectOptions) (InjectResult, error) {
-	resolve := opt.Resolve
-	if resolve == nil {
-		resolve = DefaultResolver
-	}
 	var res InjectResult
-	// node mirrors Inject's lookup but refuses to create: a missing net
-	// means Inject would grow the node set, which is a topology change.
-	missing := false
-	node := func(net string) netlist.NodeID {
-		id, ok := ckt.NodeByName(resolve(net))
-		if !ok {
-			missing = true
-		}
-		return id
+	if err := model(f, proc, opt, &editor{ckt: ckt, rec: &res}); err != nil {
+		return InjectResult{}, err
 	}
-	bridge := func(tag string, a, b netlist.NodeID, r float64) {
-		if a == b {
-			return
-		}
-		if opt.NonCat && (f.Kind == Short || f.Kind == ExtraContactKind) {
-			res.Added = append(res.Added,
-				&netlist.Resistor{Label: "flt." + tag + ".r", A: a, B: b, R: proc.NonCatRes},
-				&netlist.Capacitor{Label: "flt." + tag + ".c", A: a, B: b, C: proc.NonCatCap})
-			return
-		}
-		res.Added = append(res.Added, &netlist.Resistor{Label: "flt." + tag, A: a, B: b, R: r})
-	}
-
-	switch f.Kind {
-	case Short, ThickOxPinhole, ExtraContactKind, JunctionPinholeKind:
-		if len(f.Nets) < 2 {
-			return res, fmt.Errorf("faults: %v needs ≥2 nets", f.Kind)
-		}
-		r := f.Res
-		if r <= 0 {
-			switch f.Kind {
-			case ExtraContactKind:
-				r = proc.ExtraContactRes
-			case ThickOxPinhole, JunctionPinholeKind:
-				r = proc.PinholeRes
-			default:
-				r = 0.2 // metal default; defectsim normally sets Res
-			}
-		}
-		hub := node(f.Nets[0])
-		for i, n := range f.Nets[1:] {
-			bridge(fmt.Sprintf("%d", i), hub, node(n), r)
-		}
-		if missing {
-			return InjectResult{TopologyChanged: true}, nil
-		}
-		return res, nil
-
-	case GOSPinhole:
-		mos, ok := ckt.Element(f.Device).(*netlist.MOSFET)
-		if !ok {
-			return res, fmt.Errorf("faults: GOS pinhole on unknown device %q", f.Device)
-		}
-		r := f.Res
-		if r <= 0 {
-			r = proc.PinholeRes
-		}
-		switch opt.GOS {
-		case GOSToSource:
-			res.Added = append(res.Added, &netlist.Resistor{Label: "flt.gos", A: mos.G, B: mos.S, R: r})
-		case GOSToDrain:
-			res.Added = append(res.Added, &netlist.Resistor{Label: "flt.gos", A: mos.G, B: mos.D, R: r})
-		case GOSToChannel:
-			res.Added = append(res.Added,
-				&netlist.Resistor{Label: "flt.gos.s", A: mos.G, B: mos.S, R: 2 * r},
-				&netlist.Resistor{Label: "flt.gos.d", A: mos.G, B: mos.D, R: 2 * r})
-		default:
-			return res, fmt.Errorf("faults: bad GOS variant %d", opt.GOS)
-		}
-		return res, nil
-
-	case ShortedDevice:
-		mos, ok := ckt.Element(f.Device).(*netlist.MOSFET)
-		if !ok {
-			return res, fmt.Errorf("faults: shorted device %q not found", f.Device)
-		}
-		r := f.Res
-		if r <= 0 {
-			r = proc.ShortedDeviceRes
-		}
-		res.Added = append(res.Added, &netlist.Resistor{Label: "flt.sdev", A: mos.D, B: mos.S, R: r})
-		return res, nil
-
-	case Open:
-		if len(f.Nets) != 1 {
-			return res, fmt.Errorf("faults: open needs exactly 1 net")
-		}
-		if err := planFar(ckt, f.FarTerminals, resolve); err != nil {
-			return res, err
-		}
-		return InjectResult{TopologyChanged: true}, nil
-
-	case NewDevice:
-		if len(f.Nets) != 1 {
-			return res, fmt.Errorf("faults: new device needs exactly 1 net")
-		}
-		if err := planFar(ckt, f.FarTerminals, resolve); err != nil {
-			return res, err
-		}
-		return InjectResult{TopologyChanged: true}, nil
-	}
-	return res, fmt.Errorf("faults: unknown kind %v", f.Kind)
-}
-
-// planFar mirrors retargetFar's validation without mutating: the same
-// checks in the same order with the same error messages. The actual
-// retargeting is simulated through a moved set so that a duplicate far
-// entry — whose terminal the mutating walk has already moved off its
-// net — fails here exactly as it does there.
-func planFar(ckt *netlist.Circuit, far []Terminal, resolve Resolver) error {
-	if len(far) == 0 {
-		return fmt.Errorf("faults: open with no far terminals")
-	}
-	moved := map[netlist.Element]map[int]bool{}
-	for _, t := range far {
-		el := ckt.Element(t.Device)
-		if el == nil {
-			return fmt.Errorf("faults: open far terminal on unknown element %q", t.Device)
-		}
-		want, ok := ckt.NodeByName(resolve(t.Net))
-		if !ok {
-			return fmt.Errorf("faults: open net %q not in netlist", t.Net)
-		}
-		hit := false
-		for i, n := range el.Nodes() {
-			if n == want && !moved[el][i] {
-				if moved[el] == nil {
-					moved[el] = map[int]bool{}
-				}
-				moved[el][i] = true
-				hit = true
-			}
-		}
-		if !hit {
-			return fmt.Errorf("faults: element %q has no terminal on %q", t.Device, t.Net)
-		}
-	}
-	return nil
+	return res, nil
 }

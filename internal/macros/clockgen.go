@@ -87,18 +87,12 @@ func (m *ClockgenMacro) Respond(ctx context.Context, f *faults.Fault, opt Respon
 	vdd := VDD * opt.Var.VddScale
 	stuck := false
 	deviant := false
-	io := faults.InjectOptions{NonCat: opt.NonCat}
 	isp := opt.span(obs.StageInject, m.Name())
-	key := engineKey{macro: m.Name(), fault: faultKey(f, io)}
 	eng, release, err := checkoutEngine(opt, engineCheckout{
-		key: key,
-		f:   f, io: io,
-		baseBinding: func() *netlist.Binding {
-			return opt.Pool.baseBinding(key, opt.Var, func(bind *netlist.Binding) {
-				m.buildClockgenInto(netlist.NewRecorder(bind), cgStates[0], opt.Var)
-			})
-		},
-		build: func() *netlist.Builder { return m.buildClockgenCircuit(cgStates[0], opt.Var) },
+		key:   engineKey{macro: m.Name()},
+		f:     f,
+		io:    faults.InjectOptions{NonCat: opt.NonCat},
+		build: func(b *netlist.Builder) { m.buildClockgenInto(b, cgStates[0], opt.Var) },
 	})
 	isp.End()
 	if err != nil {
@@ -107,13 +101,16 @@ func (m *ClockgenMacro) Respond(ctx context.Context, f *faults.Fault, opt Respon
 	if release != nil {
 		defer release()
 	}
+	var phases netlist.Binding
 	for si, st := range cgStates {
 		sp := opt.span(obs.StageFaultSim, m.Name())
+		phases.Reset()
 		for i := 1; i <= 3; i++ {
-			if err := eng.RetuneVSource(fmt.Sprintf("vphi%d", i), netlist.DC(st[i-1]*vdd)); err != nil {
-				sp.End()
-				return nil, err
-			}
+			phases.SetWave(fmt.Sprintf("vphi%d", i), netlist.DC(st[i-1]*vdd))
+		}
+		if err := eng.Revalue(&phases); err != nil {
+			sp.End()
+			return nil, err
 		}
 		sol, err := eng.OP(ctx)
 		sp.End()

@@ -4,11 +4,11 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/adc"
 	"repro/internal/faults"
 	"repro/internal/layout"
+	"repro/internal/memo"
 	"repro/internal/netlist"
 	"repro/internal/obs"
 	"repro/internal/signature"
@@ -28,8 +28,8 @@ type ComparatorMacro struct {
 	// VRef is the reference tap this slice compares against.
 	VRef float64
 
-	mu     sync.Mutex
-	offNom map[bool]float64 // design (fault-free) offset per DfT setting
+	// designOffset memoises the fault-free offset per DfT setting.
+	designOffset memo.Cache[bool, float64]
 }
 
 // NewComparator returns the comparator macro of the given vehicle with
@@ -41,45 +41,28 @@ func NewComparator(veh Vehicle) *ComparatorMacro {
 // NewComparatorWithRef returns a comparator slice of the given vehicle
 // comparing against the given reference tap voltage.
 func NewComparatorWithRef(veh Vehicle, vref float64) *ComparatorMacro {
-	return &ComparatorMacro{Veh: veh, VRef: vref, offNom: map[bool]float64{}}
+	return &ComparatorMacro{Veh: veh, VRef: vref}
 }
 
 // nominalOffset returns the comparator's design offset (charge injection
 // and kickback are not perfectly balanced, exactly as in silicon). Fault
 // signatures are classified on the offset *deviation* from this value —
 // the systematic part is shared by all of the vehicle's slices and
-// therefore part of the good signature.
+// therefore part of the good signature. The bisection runs once per DfT
+// setting; a cancelled one is not cached. The caller's pool and
+// baseline cache are threaded through so the bisection's engine is
+// rebind-served like any other fault-free run.
 func (m *ComparatorMacro) nominalOffset(ctx context.Context, dft bool, pool *EnginePool, base *Baselines) (float64, error) {
-	m.mu.Lock()
-	if off, ok := m.offNom[dft]; ok {
-		m.mu.Unlock()
-		return off, nil
-	}
-	m.mu.Unlock()
-	// Bisect OUTSIDE the lock: the offset bisection runs a dozen full
-	// transients, and holding the mutex across it would serialise every
-	// parallel fault-class analysis behind the first caller. The
-	// computation is deterministic, so concurrent first callers compute
-	// the same value and the first store wins. A cancelled bisection is
-	// NOT cached — the next caller recomputes. The caller's pool and
-	// baseline cache are threaded through so the bisection's engines are
-	// rebind-served like any other fault-free run.
-	off, ok, err := m.bisectOffset(ctx, nil, RespondOpts{
-		Var: Nominal(), DfT: dft, Pool: pool, Base: base,
-	}, 0, nil)
-	if err != nil {
-		return 0, err
-	}
-	if !ok {
-		off = 0
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if prev, ok := m.offNom[dft]; ok {
-		return prev, nil
-	}
-	m.offNom[dft] = off
-	return off, nil
+	off, _, err := m.designOffset.Get(ctx, dft, func() (float64, error) {
+		ses := m.newSession(nil, RespondOpts{Var: Nominal(), DfT: dft, Pool: pool, Base: base}, 0)
+		defer ses.close()
+		off, ok, err := m.bisectOffset(ctx, ses)
+		if !ok {
+			off = 0
+		}
+		return off, err
+	})
+	return off, err
 }
 
 // Name implements Macro.
@@ -273,26 +256,54 @@ func (m *ComparatorMacro) buildComparatorInto(b *netlist.Builder, vin float64, o
 	}
 }
 
-// cmpSession caches the recorded base binding across the runs of one
-// comparator analysis variant: the lo/hi extremes and every bisection
-// step share (Var, DfT, vref) — only the input level and the fault
-// conductances move between them, and those are rebound per checkout.
+// cmpSession is one comparator analysis variant: the lo/hi extremes
+// and every bisection step share (Var, DfT, vref, fault), so they share
+// one engine, checked out on the first run and released by close. Only
+// the input level moves between runs, retuned through Revalue (B-side
+// only: bit-identical to building afresh at that level).
 type cmpSession struct {
-	bind *netlist.Binding
+	m   *ComparatorMacro
+	f   *faults.Fault
+	opt RespondOpts
+	gos faults.GOSVariant
+
+	eng     *spice.Engine
+	release func()
+	vin     netlist.Binding
 }
 
-// binding returns the session's base binding, fetching it from the
-// pool's per-key cache (recording one when the cache misses or holds
-// another variation's values). The input-source slot is recorded at the
-// session's reference level (vinLow); checkouts retune the actual input
-// after the rebind (B-side only).
-func (s *cmpSession) binding(m *ComparatorMacro, opt RespondOpts, key engineKey) *netlist.Binding {
-	if s.bind == nil {
-		s.bind = opt.Pool.baseBinding(key, opt.Var, func(bind *netlist.Binding) {
-			m.buildComparatorInto(netlist.NewRecorder(bind), vinLow, opt)
-		})
+func (m *ComparatorMacro) newSession(f *faults.Fault, opt RespondOpts, gos faults.GOSVariant) *cmpSession {
+	return &cmpSession{m: m, f: f, opt: opt, gos: gos}
+}
+
+// checkout obtains the session's engine, built at the canonical input
+// level vinLow (every run retunes the actual level).
+func (s *cmpSession) checkout() error {
+	m, opt := s.m, s.opt
+	eng, release, err := checkoutEngine(opt, engineCheckout{
+		key: engineKey{
+			macro: m.Name(), vref: m.VRef, dft: opt.DfT,
+			leak: !opt.DfT && opt.Var.FFLeakA > 1e-9,
+		},
+		f:     s.f,
+		io:    faults.InjectOptions{NonCat: opt.NonCat, GOS: s.gos},
+		build: func(b *netlist.Builder) { m.buildComparatorInto(b, vinLow, opt) },
+	})
+	if err != nil {
+		return err
 	}
-	return s.bind
+	s.eng, s.release = eng, release
+	return nil
+}
+
+// close releases the session's engine: back to the pool when it is a
+// fault-free one, dropped otherwise. Call it only after every run's
+// measurements are extracted (a Tran aliases engine-owned storage).
+func (s *cmpSession) close() {
+	if s.release != nil {
+		s.release()
+	}
+	s.eng, s.release = nil, nil
 }
 
 // tranRun holds the distilled observations of one transient.
@@ -306,49 +317,26 @@ type tranRun struct {
 	failed            bool
 }
 
-// runOnce simulates one full three-phase conversion at the given input.
-// Runs go through the engine pool when one is attached: the testbench
-// topology is identical for every run of one (vref, DfT, leak, fault)
-// key, so a pooled engine is revalued in place — die variation values,
-// fault conductances and the input level rebound onto the compiled
-// structure, bit-identical to building afresh. Topology-changing faults
-// build fresh and bypass the pool.
-func (m *ComparatorMacro) runOnce(ctx context.Context, vin float64, f *faults.Fault, opt RespondOpts, gos faults.GOSVariant, ses *cmpSession) (*tranRun, error) {
-	if ses == nil {
-		ses = &cmpSession{}
-	}
+// run simulates one full three-phase conversion at the given input on
+// the session's engine.
+func (s *cmpSession) run(ctx context.Context, vin float64) (*tranRun, error) {
+	m, opt := s.m, s.opt
 	sp := opt.span(obs.StageInject, m.Name())
-	io := faults.InjectOptions{NonCat: opt.NonCat, GOS: gos}
-	key := engineKey{
-		macro: m.Name(), vref: m.VRef, dft: opt.DfT,
-		leak:  !opt.DfT && opt.Var.FFLeakA > 1e-9,
-		fault: faultKey(f, io),
+	if s.eng == nil {
+		if err := s.checkout(); err != nil {
+			sp.End()
+			return nil, err
+		}
 	}
-	eng, release, err := checkoutEngine(opt, engineCheckout{
-		key: key,
-		f:   f, io: io,
-		baseBinding: func() *netlist.Binding { return ses.binding(m, opt, key) },
-		build:       func() *netlist.Builder { return m.buildComparatorCircuit(vin, opt) },
-	})
-	if err != nil {
-		sp.End()
-		return nil, err
-	}
-	if release != nil {
-		// Check back in only after the run's measurements are extracted:
-		// the Tran below aliases engine-owned snapshot storage.
-		defer release()
-	}
-	// A rebound engine carries the session's reference input; the actual
-	// level is retuned per run (B-side only — on a fresh build this
-	// re-assigns the value it was built with, bit-identically).
-	if err := eng.RetuneVSource("vvin", netlist.DC(vin)); err != nil {
+	s.vin.Reset()
+	s.vin.SetWave("vvin", netlist.DC(vin))
+	if err := s.eng.Revalue(&s.vin); err != nil {
 		sp.End()
 		return nil, err
 	}
 	sp.End()
 	sp = opt.span(obs.StageFaultSim, m.Name())
-	tr, err := eng.TransientSchedule(ctx, tranSchedule)
+	tr, err := s.eng.TransientSchedule(ctx, tranSchedule)
 	sp.End()
 	if err != nil {
 		if spice.IsCancelled(err) {
@@ -430,33 +418,32 @@ func (m *ComparatorMacro) Respond(ctx context.Context, f *faults.Fault, opt Resp
 // error-free responses are stored, and consumers treat the shared
 // response as read-only.
 func (m *ComparatorMacro) nominalResponse(ctx context.Context, opt RespondOpts) (*signature.Response, error) {
-	if opt.Base == nil {
-		return m.Respond(ctx, nil, opt)
+	var cache *memo.Cache[cmpNomKey, *signature.Response]
+	if opt.Base != nil {
+		cache = &opt.Base.cmpNom
 	}
 	key := cmpNomKey{vref: m.VRef, dft: opt.DfT, currentsOnly: opt.CurrentsOnly, v: opt.Var}
-	if r, ok := opt.Base.comparatorNominal(key); ok {
+	r, hit, err := cache.Get(ctx, key, func() (*signature.Response, error) {
+		return m.Respond(ctx, nil, opt)
+	})
+	if hit {
 		// The hit replaces a full fault-free simulation; emit the
 		// counter inside a span so trace sinks see it.
 		sp := opt.span(obs.StageFaultSim, m.Name())
 		opt.Metrics.Add(obs.CtrBaselineCacheHits, 1)
 		sp.End()
-		return r, nil
 	}
-	r, err := m.Respond(ctx, nil, opt)
-	if err != nil {
-		return nil, err
-	}
-	opt.Base.storeComparatorNominal(key, r)
-	return r, nil
+	return r, err
 }
 
 func (m *ComparatorMacro) respondVariant(ctx context.Context, f *faults.Fault, opt RespondOpts, gos faults.GOSVariant) (*signature.Response, error) {
-	ses := &cmpSession{}
-	lo, err := m.runOnce(ctx, vinLow, f, opt, gos, ses)
+	ses := m.newSession(f, opt, gos)
+	defer ses.close()
+	lo, err := ses.run(ctx, vinLow)
 	if err != nil {
 		return nil, err
 	}
-	hi, err := m.runOnce(ctx, vinHigh, f, opt, gos, ses)
+	hi, err := ses.run(ctx, vinHigh)
 	if err != nil {
 		return nil, err
 	}
@@ -497,7 +484,7 @@ func (m *ComparatorMacro) respondVariant(ctx context.Context, f *faults.Fault, o
 	default:
 		// Proper polarity: locate the trip point by bisection and
 		// compare to the design's systematic offset.
-		off, ok, err := m.bisectOffset(ctx, f, opt, gos, ses)
+		off, ok, err := m.bisectOffset(ctx, ses)
 		if err != nil {
 			csp.End()
 			return nil, err
@@ -564,14 +551,11 @@ func propagateSlice(veh Vehicle, resp *signature.Response) bool {
 // The error is non-nil only when the bisection was aborted (cancellation
 // or an injection failure), so a half-finished bisection is never
 // classified as a signature.
-func (m *ComparatorMacro) bisectOffset(ctx context.Context, f *faults.Fault, opt RespondOpts, gos faults.GOSVariant, ses *cmpSession) (float64, bool, error) {
-	if ses == nil {
-		ses = &cmpSession{}
-	}
+func (m *ComparatorMacro) bisectOffset(ctx context.Context, ses *cmpSession) (float64, bool, error) {
 	lo, hi := vinLow, vinHigh
 	for i := 0; i < 11; i++ {
 		mid := (lo + hi) / 2
-		run, err := m.runOnce(ctx, mid, f, opt, gos, ses)
+		run, err := ses.run(ctx, mid)
 		if err != nil {
 			return 0, false, err
 		}

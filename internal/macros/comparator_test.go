@@ -13,7 +13,7 @@ import (
 func TestComparatorFaultFreeDecisions(t *testing.T) {
 	m := NewComparator(DefaultVehicle())
 	opt := RespondOpts{Var: Nominal()}
-	lo, err := m.runOnce(context.Background(), vinLow, nil, opt, 0, nil)
+	lo, err := m.newSession(nil, opt, 0).run(context.Background(), vinLow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +23,7 @@ func TestComparatorFaultFreeDecisions(t *testing.T) {
 	if lo.decision != 0 {
 		t.Fatalf("decision(vin<vref) = %d (out=%.3g), want 0", lo.decision, lo.outV)
 	}
-	hi, err := m.runOnce(context.Background(), vinHigh, nil, opt, 0, nil)
+	hi, err := m.newSession(nil, opt, 0).run(context.Background(), vinHigh)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,14 +57,14 @@ func TestComparatorSmallInputResolved(t *testing.T) {
 		t.Fatal(err)
 	}
 	trip := m.VRef + nomOff
-	up, err := m.runOnce(context.Background(), trip+4e-3, nil, opt, 0, nil)
+	up, err := m.newSession(nil, opt, 0).run(context.Background(), trip+4e-3)
 	if err != nil || up.failed {
 		t.Fatalf("up: %v failed=%v", err, up != nil && up.failed)
 	}
 	if up.decision != 1 {
 		t.Fatalf("decision(vref+4mV) = %d (out=%.3g)", up.decision, up.outV)
 	}
-	dn, err := m.runOnce(context.Background(), trip-4e-3, nil, opt, 0, nil)
+	dn, err := m.newSession(nil, opt, 0).run(context.Background(), trip-4e-3)
 	if err != nil || dn.failed {
 		t.Fatal("down failed")
 	}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/adc"
 	"repro/internal/faults"
 	"repro/internal/layout"
+	"repro/internal/memo"
 	"repro/internal/netlist"
 	"repro/internal/obs"
 	"repro/internal/process"
@@ -75,18 +76,12 @@ func (l *LadderMacro) solveTaps(ctx context.Context, f *faults.Fault, opt Respon
 		}
 		opt.Metrics.Add(obs.CtrRank1Fallbacks, 1)
 	}
-	io := faults.InjectOptions{NonCat: opt.NonCat}
 	sp := opt.span(obs.StageInject, l.Name())
-	key := engineKey{macro: l.Name(), fault: faultKey(f, io)}
 	eng, release, err := checkoutEngine(opt, engineCheckout{
-		key: key,
-		f:   f, io: io,
-		baseBinding: func() *netlist.Binding {
-			return opt.Pool.baseBinding(key, opt.Var, func(bind *netlist.Binding) {
-				l.buildLadderInto(netlist.NewRecorder(bind), opt.Var)
-			})
-		},
-		build: func() *netlist.Builder { return l.buildLadderCircuit(opt.Var) },
+		key:   engineKey{macro: l.Name()},
+		f:     f,
+		io:    faults.InjectOptions{NonCat: opt.NonCat},
+		build: func(b *netlist.Builder) { l.buildLadderInto(b, opt.Var) },
 	})
 	sp.End()
 	if err != nil {
@@ -124,15 +119,12 @@ func (l *LadderMacro) solveTapsUpdated(ctx context.Context, f *faults.Fault, opt
 		return nil, 0, 0, true, err
 	}
 	sp := opt.span(obs.StageInject, l.Name())
-	nf, hit := opt.Base.ladderFactor(opt.Var)
-	if !hit {
-		var err error
-		nf, err = spice.NewNominalFactor(l.buildLadderCircuit(opt.Var).C, opt.simOptions())
-		if err != nil {
-			sp.End()
-			return nil, 0, 0, false, nil
-		}
-		opt.Base.storeLadderFactor(opt.Var, nf)
+	nf, _, err := opt.Base.ladderNF.Get(ctx, opt.Var, func() (*spice.NominalFactor, error) {
+		return spice.NewNominalFactor(l.buildLadderCircuit(opt.Var).C, opt.simOptions())
+	})
+	if err != nil {
+		sp.End()
+		return nil, 0, 0, false, nil
 	}
 	plan, err := faults.Plan(nf.Ckt(), *f, procShared, faults.InjectOptions{NonCat: opt.NonCat})
 	if err != nil || plan.TopologyChanged {
@@ -170,20 +162,22 @@ func (l *LadderMacro) solveTapsUpdated(ctx context.Context, f *faults.Fault, opt
 // read-only; the circuit is fully determined by the variation (the
 // ladder has no DfT variant), so a hit is bit-for-bit a recompute.
 func (l *LadderMacro) nominalTaps(ctx context.Context, opt RespondOpts) ([]float64, error) {
-	if taps, ok := opt.Base.ladderTaps(opt.Var); ok {
+	var cache *memo.Cache[Variation, []float64]
+	if opt.Base != nil {
+		cache = &opt.Base.ladder
+	}
+	taps, hit, err := cache.Get(ctx, opt.Var, func() ([]float64, error) {
+		taps, _, _, err := l.solveTaps(ctx, nil, opt)
+		return taps, err
+	})
+	if hit {
 		// The hit replaces a StageFaultSim solve; emit the counter
 		// inside a span so trace sinks see it.
 		sp := opt.span(obs.StageFaultSim, l.Name())
 		opt.Metrics.Add(obs.CtrBaselineCacheHits, 1)
 		sp.End()
-		return taps, nil
 	}
-	taps, _, _, err := l.solveTaps(ctx, nil, opt)
-	if err != nil {
-		return nil, err
-	}
-	opt.Base.storeLadderTaps(opt.Var, taps)
-	return taps, nil
+	return taps, err
 }
 
 // Respond implements Macro. The voltage signature is determined by

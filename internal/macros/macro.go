@@ -134,7 +134,8 @@ type RespondOpts struct {
 	Pool *EnginePool
 	// Base, when non-nil, memoises fault-free baseline results (nominal
 	// ladder taps, comparator good-machine responses) so repeated class
-	// analyses stop re-simulating the good machine. Hits are counted on
+	// analyses stop re-simulating the good machine. Hits — including a
+	// caller that joins another's in-flight computation — are counted on
 	// Metrics under obs.CtrBaselineCacheHits.
 	Base *Baselines
 }

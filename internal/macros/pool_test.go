@@ -42,12 +42,11 @@ func TestPooledRespondBitIdentical(t *testing.T) {
 	}
 }
 
-// TestFaultyRespondPoolIsolation is the pool-isolation contract of the
-// structure-keyed pool: a conductance-only faulty run pools its engine
-// under the fault's own key — never under (or out of) the fault-free
-// key — so fault-free responses after a faulty run stay bit-identical;
-// a topology-changing fault (an open splits nodes) has no stable
-// topology key and must leave the pool entirely untouched.
+// TestFaultyRespondPoolIsolation is the pool-isolation contract: the
+// pool holds fault-free engines only. Faulty runs — conductance-only or
+// topology-changing — build their own engine and drop it, so they never
+// change the pool's size, and fault-free responses after a faulty run
+// stay bit-identical.
 func TestFaultyRespondPoolIsolation(t *testing.T) {
 	m := NewComparator(DefaultVehicle())
 	ctx := context.Background()
@@ -59,31 +58,39 @@ func TestFaultyRespondPoolIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm := pool.size()
-	if warm == 0 {
+	size := pool.size()
+	if size == 0 {
 		t.Fatal("fault-free run did not populate the pool")
 	}
 
-	// Conductance-only: a bridge between existing nets. Its engine pools
-	// under the fault key, and the repeat run is served by rebind.
-	f := &faults.Fault{Kind: faults.Short, Nets: []string{"o1", "vss"}, Res: 0.2}
-	faulty, err := m.Respond(ctx, f, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reflect.DeepEqual(fresh, faulty) {
-		t.Fatal("hard short produced the fault-free response; fault was not injected")
-	}
-	hits := met.Get(obs.CtrRebindHits)
-	faulty2, err := m.Respond(ctx, f, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if met.Get(obs.CtrRebindHits) <= hits {
-		t.Fatal("repeated conductance-only fault was not served by rebind")
-	}
-	if !reflect.DeepEqual(faulty, faulty2) {
-		t.Fatalf("rebind-served faulty response diverged:\nwant %+v\ngot  %+v", faulty, faulty2)
+	// Conductance-only (a bridge between existing nets) and
+	// topology-changing (an open splits m1's drain off o1).
+	short := &faults.Fault{Kind: faults.Short, Nets: []string{"o1", "vss"}, Res: 0.2}
+	open := &faults.Fault{Kind: faults.Open, Nets: []string{"o1"},
+		FarTerminals: []faults.Terminal{{Device: "m1", Net: "o1"}}}
+	for _, f := range []*faults.Fault{short, open} {
+		var first *signature.Response
+		for rep := 0; rep < 2; rep++ {
+			rebuilds := met.Get(obs.CtrFullRebuilds)
+			resp, err := m.Respond(ctx, f, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := pool.size(); got != size {
+				t.Fatalf("%v run %d changed the pool: size %d -> %d", f, rep, size, got)
+			}
+			if met.Get(obs.CtrFullRebuilds) <= rebuilds {
+				t.Fatalf("%v run %d did not count a full rebuild", f, rep)
+			}
+			if reflect.DeepEqual(fresh, resp) {
+				t.Fatalf("%v produced the fault-free response; fault was not injected", f)
+			}
+			if first == nil {
+				first = resp
+			} else if !reflect.DeepEqual(first, resp) {
+				t.Fatalf("repeated %v diverged:\nwant %+v\ngot  %+v", f, first, resp)
+			}
+		}
 	}
 
 	after, err := m.Respond(ctx, nil, opt)
@@ -93,26 +100,35 @@ func TestFaultyRespondPoolIsolation(t *testing.T) {
 	if !reflect.DeepEqual(fresh, after) {
 		t.Fatalf("fault-free response after a faulty run diverged:\nwant %+v\ngot  %+v", fresh, after)
 	}
+}
 
-	// Topology-changing: an open on m1's drain. Never pooled.
-	rebuilds := met.Get(obs.CtrFullRebuilds)
-	size := pool.size()
+// TestFaultyRespondBuildsOnce pins that a faulty engine lives for one
+// analysis: a full comparator response of a topology-changing fault
+// builds its circuit exactly once, however many transients (lo, hi,
+// the offset bisection) it runs on it.
+func TestFaultyRespondBuildsOnce(t *testing.T) {
+	m := NewComparator(DefaultVehicle())
+	ctx := context.Background()
+	pool := NewEnginePool()
+	// Settle the fault-free design offset first: its own engine build
+	// is not part of the faulty analysis.
+	if _, err := m.nominalOffset(ctx, false, pool, nil); err != nil {
+		t.Fatal(err)
+	}
+	met := &obs.Metrics{}
+	// Splitting the o1 clamp off its node unbalances the pair into an
+	// offset, so the analysis runs the full 13-transient bisection.
 	open := &faults.Fault{Kind: faults.Open, Nets: []string{"o1"},
-		FarTerminals: []faults.Terminal{{Device: "m1", Net: "o1"}}}
-	if _, err := m.Respond(ctx, open, opt); err != nil {
+		FarTerminals: []faults.Terminal{{Device: "m3d", Net: "o1"}}}
+	resp, err := m.Respond(ctx, open, RespondOpts{Var: Nominal(), Pool: pool, Metrics: met})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := pool.size(); got != size {
-		t.Fatalf("topology-changing fault changed the pool: size %d -> %d", size, got)
+	if resp.Voltage != signature.VSigOffset {
+		t.Fatalf("signature %v: the open no longer exercises the bisection", resp.Voltage)
 	}
-	if met.Get(obs.CtrFullRebuilds) <= rebuilds {
-		t.Fatal("topology-changing fault did not count a full rebuild")
-	}
-	if _, err := m.Respond(ctx, open, opt); err != nil {
-		t.Fatal(err)
-	}
-	if got := pool.size(); got != size {
-		t.Fatalf("repeated topology-changing fault changed the pool: size %d -> %d", size, got)
+	if n := met.Get(obs.CtrFullRebuilds); n != 1 {
+		t.Fatalf("full_rebuilds = %d for one faulty analysis, want 1", n)
 	}
 }
 

@@ -7,41 +7,32 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/faults"
 	"repro/internal/netlist"
 	"repro/internal/obs"
 	"repro/internal/spice"
 )
 
-// rebindCase is one conductance-only fault axis of the property test.
-type rebindCase struct {
-	f  *faults.Fault
-	io faults.InjectOptions
-}
-
-// rebindMacro describes one macro's (Variation, fault, slice) axes: how
-// to build a reference circuit at a concrete triple, how to record the
-// base binding the production checkout path uses, and how the slice is
-// applied to a pooled engine (B-side retune). Biasgen delegates its
-// circuit to the comparator, so the three circuit-owning macros cover
-// the whole family.
+// rebindMacro describes one macro's (Variation, slice) axes: how to
+// build its fault-free testbench at a concrete pair, and how the slice
+// is applied to a pooled engine (a B-side source retune). Biasgen
+// delegates its circuit to the comparator, so the three circuit-owning
+// macros cover the whole family.
 type rebindMacro struct {
 	name      string
 	vref      float64
 	leak      func(v Variation) bool
-	faults    []rebindCase
-	build     func(v Variation, slice float64) *netlist.Builder
+	build     func(b *netlist.Builder, v Variation, slice float64)
 	canonical float64
-	retune    func(eng *spice.Engine, v Variation, slice float64) error
+	retune    func(v Variation, slice float64) *netlist.Binding
 	slice     func(rng *rand.Rand) float64
 }
 
 // TestRevaluePropertyBitIdentical is the rebind analogue of the Plan /
-// Inject drift guard: for hundreds of random (Variation, conductance-only
-// fault, slice) triples per macro, an engine checked out of the pool and
-// Revalued in place must assemble bit-identical MNA systems — and, on a
-// sampled subset, solve to bit-identical operating points — as an engine
-// freshly built and injected at exactly that triple.
+// Inject drift guard: for hundreds of random (Variation, slice) pairs
+// per macro, an engine checked out of the pool and Revalued in place
+// must assemble bit-identical MNA systems — and, on a sampled subset,
+// solve to bit-identical operating points — as an engine freshly built
+// at exactly that pair.
 func TestRevaluePropertyBitIdentical(t *testing.T) {
 	n := 500
 	solveEvery := 25
@@ -60,23 +51,14 @@ func TestRevaluePropertyBitIdentical(t *testing.T) {
 			name: cmp.Name(),
 			vref: cmp.VRef,
 			leak: func(v Variation) bool { return v.FFLeakA > 1e-9 },
-			faults: []rebindCase{
-				{f: nil},
-				{f: &faults.Fault{Kind: faults.Short, Nets: []string{"o1", "vss"}, Res: 0.2}},
-				{f: &faults.Fault{Kind: faults.Short, Nets: []string{"vbn1", "vbn2"}, Res: 0.2}},
-				{f: &faults.Fault{Kind: faults.Short, Nets: []string{"clk1", "clk2"}, Res: 0.2},
-					io: faults.InjectOptions{NonCat: true}},
-				{f: &faults.Fault{Kind: faults.GOSPinhole, Device: "m1"},
-					io: faults.InjectOptions{GOS: faults.GOSToSource}},
-				{f: &faults.Fault{Kind: faults.GOSPinhole, Device: "m2"},
-					io: faults.InjectOptions{GOS: faults.GOSToDrain}},
-			},
-			build: func(v Variation, slice float64) *netlist.Builder {
-				return cmp.buildComparatorCircuit(slice, RespondOpts{Var: v})
+			build: func(b *netlist.Builder, v Variation, slice float64) {
+				cmp.buildComparatorInto(b, slice, RespondOpts{Var: v})
 			},
 			canonical: vinLow,
-			retune: func(eng *spice.Engine, _ Variation, slice float64) error {
-				return eng.RetuneVSource("vvin", netlist.DC(slice))
+			retune: func(_ Variation, slice float64) *netlist.Binding {
+				bind := &netlist.Binding{}
+				bind.SetWave("vvin", netlist.DC(slice))
+				return bind
 			},
 			slice: func(rng *rand.Rand) float64 {
 				return vinLow + rng.Float64()*(vinHigh-vinLow)
@@ -84,43 +66,27 @@ func TestRevaluePropertyBitIdentical(t *testing.T) {
 		},
 		{
 			name: lad.Name(),
-			faults: []rebindCase{
-				{f: nil},
-				{f: &faults.Fault{Kind: faults.Short, Nets: []string{"t096", "t128"}, Res: 25}},
-				{f: &faults.Fault{Kind: faults.Short, Nets: []string{"t032", "t224"}, Res: 100}},
-				{f: &faults.Fault{Kind: faults.Short, Nets: []string{"t000", "t064"}, Res: 25},
-					io: faults.InjectOptions{NonCat: true}},
-			},
 			// The ladder has no stimulus slice: its sources are the fixed
-			// reference rails, so the triple degenerates to (Variation, fault).
-			build: func(v Variation, _ float64) *netlist.Builder {
-				return lad.buildLadderCircuit(v)
+			// reference rails, so the pair degenerates to the Variation.
+			build: func(b *netlist.Builder, v Variation, _ float64) {
+				lad.buildLadderInto(b, v)
 			},
 			slice: func(*rand.Rand) float64 { return 0 },
 		},
 		{
 			name: clk.Name(),
-			faults: []rebindCase{
-				{f: nil},
-				{f: &faults.Fault{Kind: faults.Short, Nets: []string{"clk1", "clk2"}, Res: 0.2}},
-				{f: &faults.Fault{Kind: faults.Short, Nets: []string{"cg1_0", "cg1_1"}, Res: 0.2},
-					io: faults.InjectOptions{NonCat: true}},
-				{f: &faults.Fault{Kind: faults.GOSPinhole, Device: "cg.mp1_0"},
-					io: faults.InjectOptions{GOS: faults.GOSToSource}},
-			},
 			// Slice = static phase state index.
-			build: func(v Variation, slice float64) *netlist.Builder {
-				return clk.buildClockgenCircuit(cgStates[int(slice)], v)
+			build: func(b *netlist.Builder, v Variation, slice float64) {
+				clk.buildClockgenInto(b, cgStates[int(slice)], v)
 			},
-			retune: func(eng *spice.Engine, v Variation, slice float64) error {
+			retune: func(v Variation, slice float64) *netlist.Binding {
 				st := cgStates[int(slice)]
 				vdd := VDD * v.VddScale
+				bind := &netlist.Binding{}
 				for i := 1; i <= 3; i++ {
-					if err := eng.RetuneVSource(fmt.Sprintf("vphi%d", i), netlist.DC(st[i-1]*vdd)); err != nil {
-						return err
-					}
+					bind.SetWave(fmt.Sprintf("vphi%d", i), netlist.DC(st[i-1]*vdd))
 				}
-				return nil
+				return bind
 			},
 			slice: func(rng *rand.Rand) float64 { return float64(rng.Intn(len(cgStates))) },
 		},
@@ -135,42 +101,32 @@ func TestRevaluePropertyBitIdentical(t *testing.T) {
 			for i := 0; i < n; i++ {
 				v := Draw(rng)
 				slice := mc.slice(rng)
-				fc := mc.faults[rng.Intn(len(mc.faults))]
 				opt := RespondOpts{Var: v, Pool: pool, Metrics: met}
 
-				// Reference: built and injected from scratch at this triple.
-				fb := mc.build(v, slice)
-				if fc.f != nil {
-					if err := faults.Inject(fb.C, *fc.f, procShared, fc.io); err != nil {
-						t.Fatalf("triple %d: inject: %v", i, err)
-					}
-				}
+				// Reference: built from scratch at this pair.
+				fb := netlist.NewBuilder()
+				mc.build(fb, v, slice)
 				fresh := spice.New(fb.C, opt.simOptions())
 
 				key := engineKey{macro: mc.name, vref: mc.vref,
-					leak: mc.leak != nil && mc.leak(v), fault: faultKey(fc.f, fc.io)}
+					leak: mc.leak != nil && mc.leak(v)}
 				canon := slice
 				if mc.retune != nil {
 					canon = mc.canonical
 				}
 				eng, release, err := checkoutEngine(opt, engineCheckout{
-					key: key, f: fc.f, io: fc.io,
-					baseBinding: func() *netlist.Binding {
-						bind := &netlist.Binding{}
-						mc.recordInto(bind, v)
-						return bind
-					},
-					build: func() *netlist.Builder { return mc.build(v, canon) },
+					key:   key,
+					build: func(b *netlist.Builder) { mc.build(b, v, canon) },
 				})
 				if err != nil {
-					t.Fatalf("triple %d: checkout: %v", i, err)
+					t.Fatalf("pair %d: checkout: %v", i, err)
 				}
 				if release == nil {
-					t.Fatalf("triple %d: conductance-only fault %+v was classified topology-changing", i, fc.f)
+					t.Fatalf("pair %d: fault-free checkout is not poolable", i)
 				}
 				if mc.retune != nil {
-					if err := mc.retune(eng, v, slice); err != nil {
-						t.Fatalf("triple %d: retune: %v", i, err)
+					if err := eng.Revalue(mc.retune(v, slice)); err != nil {
+						t.Fatalf("pair %d: retune: %v", i, err)
 					}
 				}
 
@@ -182,8 +138,8 @@ func TestRevaluePropertyBitIdentical(t *testing.T) {
 				}{{netlist.DCOp, 0, 0}, {netlist.Transient, 101e-9, 1e-10}} {
 					fs, rs := fresh.StampChecksum(chk.mode, chk.t, chk.dt), eng.StampChecksum(chk.mode, chk.t, chk.dt)
 					if fs != rs {
-						t.Fatalf("triple %d (fault %+v, slice %g): mode %v stamp checksum %016x != fresh %016x",
-							i, fc.f, slice, chk.mode, rs, fs)
+						t.Fatalf("pair %d (slice %g): mode %v stamp checksum %016x != fresh %016x",
+							i, slice, chk.mode, rs, fs)
 					}
 				}
 
@@ -192,15 +148,15 @@ func TestRevaluePropertyBitIdentical(t *testing.T) {
 					fsol, ferr := fresh.OP(ctx)
 					rsol, rerr := eng.OP(ctx)
 					if (ferr == nil) != (rerr == nil) {
-						t.Fatalf("triple %d: OP error divergence: fresh %v, revalued %v", i, ferr, rerr)
+						t.Fatalf("pair %d: OP error divergence: fresh %v, revalued %v", i, ferr, rerr)
 					}
 					if ferr == nil {
 						if len(fsol.X) != len(rsol.X) {
-							t.Fatalf("triple %d: solution dim %d != %d", i, len(rsol.X), len(fsol.X))
+							t.Fatalf("pair %d: solution dim %d != %d", i, len(rsol.X), len(fsol.X))
 						}
 						for j := range fsol.X {
 							if math.Float64bits(fsol.X[j]) != math.Float64bits(rsol.X[j]) {
-								t.Fatalf("triple %d: X[%d] = %x != fresh %x",
+								t.Fatalf("pair %d: X[%d] = %x != fresh %x",
 									i, j, math.Float64bits(rsol.X[j]), math.Float64bits(fsol.X[j]))
 							}
 						}
@@ -209,28 +165,12 @@ func TestRevaluePropertyBitIdentical(t *testing.T) {
 				release()
 			}
 			// The run must have been dominated by revalues: full builds only
-			// on cold keys (bounded by distinct (leak, fault) combinations).
+			// on cold keys (bounded by the distinct leak variants).
 			rebinds, rebuilds := met.Get(obs.CtrRebindHits), met.Get(obs.CtrFullRebuilds)
 			if rebinds <= rebuilds {
-				t.Fatalf("rebind_hits (%d) must dominate full_rebuilds (%d) over %d triples",
+				t.Fatalf("rebind_hits (%d) must dominate full_rebuilds (%d) over %d pairs",
 					rebinds, rebuilds, n)
 			}
 		})
-	}
-}
-
-// recordInto records the macro's base binding for the given variation,
-// mirroring what the production checkout paths do per macro.
-func (mc *rebindMacro) recordInto(bind *netlist.Binding, v Variation) {
-	b := netlist.NewRecorder(bind)
-	switch mc.name {
-	case "comparator":
-		NewComparator(DefaultVehicle()).buildComparatorInto(b, vinLow, RespondOpts{Var: v})
-	case "ladder":
-		NewLadder(DefaultVehicle()).buildLadderInto(b, v)
-	case "clockgen":
-		NewClockgen(DefaultVehicle()).buildClockgenInto(b, cgStates[0], v)
-	default:
-		panic("unknown macro " + mc.name)
 	}
 }

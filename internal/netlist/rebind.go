@@ -11,7 +11,7 @@ import (
 // compiled artifact downstream — stamp programs, structural sparsity
 // patterns, symbolic eliminations. Its *values* (resistances,
 // capacitances, MOS model cards, source waveforms) are what a die
-// Variation, a fault conductance or a stimulus slice actually moves. A
+// Variation or a stimulus slice actually moves. A
 // Binding captures the value half so an already-compiled engine can be
 // revalued in place instead of rebuilt.
 //
@@ -22,8 +22,7 @@ import (
 //     recording when one changes.
 //   - B-side slots (source waveforms) only reach the right-hand side —
 //     a source's A-side stamps are value-independent ±1 incidence
-//     entries — so rebinding them leaves A-side recordings valid. This
-//     generalises the engine's long-standing RetuneVSource rule.
+//     entries — so rebinding them leaves A-side recordings valid.
 //
 // Rebind reports whether any A-side value actually changed (bitwise,
 // math.Float64bits) so a B-only rebind — e.g. moving the ramp input
@@ -86,24 +85,8 @@ func (b *Binding) SetWave(label string, w Waveform) {
 	b.items = append(b.items, bindItem{label: label, kind: SlotWave, wave: w})
 }
 
-// Len returns the number of slot assignments.
-func (b *Binding) Len() int { return len(b.items) }
-
 // Reset empties the binding, retaining capacity.
 func (b *Binding) Reset() { b.items = b.items[:0] }
-
-// Truncate drops every slot past the first n, retaining capacity. A
-// caller holding a recorded base binding appends per-checkout slots
-// (fault conductances) after the base and truncates back before the
-// next checkout.
-func (b *Binding) Truncate(n int) { b.items = b.items[:n] }
-
-// Clone returns an independent copy of the binding. Checkout sessions
-// clone a cached base binding before appending their per-fault slots,
-// so the cached original is never mutated.
-func (b *Binding) Clone() *Binding {
-	return &Binding{items: append([]bindItem(nil), b.items...)}
-}
 
 // Covers reports whether the binding has exactly one slot per element
 // of the circuit. A builder-recorded binding covers its own build by
@@ -177,32 +160,6 @@ func (c *Circuit) Rebind(b *Binding) (aChanged bool, err error) {
 		el := c.elemByName(it.label)
 		if el == nil {
 			return aChanged, fmt.Errorf("netlist: rebind: no element %q", it.label)
-		}
-		ch, err := applySlot(el, it)
-		if err != nil {
-			return aChanged, err
-		}
-		aChanged = aChanged || ch
-	}
-	return aChanged, nil
-}
-
-// Rebind applies the binding through a compiled stamp program: only
-// elements the program dispatches are eligible. Mode-gated elements
-// dropped at compile time (capacitors in a DCOp program) are unknown
-// here — engines holding multiple per-mode programs should rebind at
-// the circuit level instead, which this method exists to complement
-// for callers that hold only a program.
-func (p *StampProgram) Rebind(b *Binding) (aChanged bool, err error) {
-	byName := make(map[string]Element, len(p.Items))
-	for _, it := range p.Items {
-		byName[it.El.Name()] = it.El
-	}
-	for i := range b.items {
-		it := &b.items[i]
-		el, ok := byName[it.label]
-		if !ok {
-			return aChanged, fmt.Errorf("netlist: rebind: no element %q in program", it.label)
 		}
 		ch, err := applySlot(el, it)
 		if err != nil {

@@ -116,16 +116,16 @@ const (
 	// posted an error) and were handed back to the engine's bounded
 	// retry, which re-runs them locally.
 	CtrRemoteRetries
-	// CtrRebindHits counts simulations served by revaluing a pooled
-	// compiled engine in place (new die Variation, fault conductance or
-	// stimulus slice bound onto the same topology) instead of building a
-	// fresh netlist + engine.
+	// CtrRebindHits counts fault-free engine checkouts (one per
+	// analysis) served by revaluing a pooled compiled engine in place —
+	// a new die Variation bound onto the same topology — instead of
+	// building a fresh netlist + engine.
 	CtrRebindHits
-	// CtrFullRebuilds counts simulations that built a fresh circuit and
-	// engine: structure-cache misses and topology-changing faults (node
-	// splits, new devices) that the rebind path must not serve.
+	// CtrFullRebuilds counts engine checkouts that built a fresh circuit
+	// and engine: pool misses, refused rebinds, and every faulty
+	// analysis (faulty engines are never pooled).
 	CtrFullRebuilds
-	// CtrPatternReuse counts Revalue calls that retained a compiled
+	// CtrPatternReuse counts pool hits whose engine retained a compiled
 	// sparse symbolic analysis (the engine already held a learned
 	// pattern, so the revalued solves skip the pattern probe and the
 	// symbolic elimination re-derivation).

@@ -246,28 +246,6 @@ func (e *Engine) SetMetrics(m *obs.Metrics) {
 	e.met = m
 }
 
-// RetuneVSource replaces the waveform of the named voltage source on a
-// live engine. A VSource's matrix stamps are its value-independent ±1
-// aux couplings, so the recorded A-side replay stays valid, and the
-// source value reaches only the right-hand side, which every solve
-// re-records — analyses after a retune are bit-identical to those of a
-// fresh engine built with the new waveform. (Mutating any other
-// value-bearing element kind — resistors, capacitors, MOS models —
-// must go through Revalue, which drops the A-side recording when one
-// of those values changes.)
-func (e *Engine) RetuneVSource(name string, w netlist.Waveform) error {
-	el := e.Ckt.Element(name)
-	if el == nil {
-		return fmt.Errorf("spice: retune: no element %q", name)
-	}
-	vs, ok := el.(*netlist.VSource)
-	if !ok {
-		return fmt.Errorf("spice: retune: element %q is not a voltage source", name)
-	}
-	vs.W = w
-	return nil
-}
-
 // Revalue applies a parameter binding to the engine's circuit in place:
 // the compile-once/revalue-many entry point. The topology is untouched,
 // so every compiled artifact is retained — node and aux numbering, the
@@ -277,7 +255,9 @@ func (e *Engine) RetuneVSource(name string, w netlist.Waveform) error {
 // matrices are automatically safe on the cached structure). Only when
 // an A-side value actually changed (bitwise) is the A-side stamp
 // recording dropped; a B-side-only rebind — retuning sources between
-// ramp slices — keeps it, generalising the RetuneVSource rule.
+// ramp slices — keeps it: a source's matrix stamps are its
+// value-independent ±1 aux couplings, and its value reaches only the
+// right-hand side, which every solve re-records.
 //
 // After a successful Revalue the engine's analyses are bit-identical to
 // those of a freshly built engine whose builder produced the bound
@@ -294,12 +274,14 @@ func (e *Engine) Revalue(b *netlist.Binding) error {
 	if aChanged {
 		e.recValid = false
 	}
-	if e.slu[netlist.DCOp] != nil || e.slu[netlist.Transient] != nil {
-		// The revalued solves will reuse a learned symbolic analysis
-		// instead of re-probing the pattern and re-learning.
-		e.met.Add(obs.CtrPatternReuse, 1)
-	}
 	return nil
+}
+
+// PatternLearned reports that the engine holds a learned sparse
+// symbolic analysis, which its next solves reuse instead of re-probing
+// the pattern and re-learning the elimination.
+func (e *Engine) PatternLearned() bool {
+	return e.slu[netlist.DCOp] != nil || e.slu[netlist.Transient] != nil
 }
 
 // StampChecksum assembles the mode's linearised system at the all-zero
