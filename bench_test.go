@@ -402,7 +402,7 @@ func BenchmarkYieldAndDefectLevel(b *testing.B) {
 	proc := process.Default()
 	y := defectsim.NewYieldModel(120) // defects/cm²
 	for _, m := range []macros.Macro{
-		macros.NewComparator(macros.DefaultVehicle()), macros.NewLadder(macros.DefaultVehicle()), macros.NewBiasgen(macros.DefaultVehicle()),
+		macros.NewComparator(macros.DefaultVehicle()), macros.NewLadder(macros.DefaultVehicle()), macros.NewBiasgen(macros.NewComparator(macros.DefaultVehicle())),
 		macros.NewClockgen(macros.DefaultVehicle()), macros.NewDecoder(macros.DefaultVehicle()),
 	} {
 		y.AddMacro(context.Background(), m.Layout(false), proc, m.Count(), 4000, 1995)
@@ -492,7 +492,7 @@ func BenchmarkCampaignParallel(b *testing.B) {
 	cfg := campaignBenchCfg()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, out, err := core.RunParallel(context.Background(), cfg, false,
+		_, out, err := core.NewPipeline(cfg).RunParallel(context.Background(), false,
 			campaign.Options{Workers: 4})
 		if err != nil {
 			b.Fatal(err)

@@ -37,9 +37,8 @@
 // checkpoint never resumes a run of different settings.
 //
 // The good-space Monte Carlo is itself die-sharded: -gsworkers bounds
-// its worker group (0 picks GOMAXPROCS, or the campaign worker count on
-// the campaign engine; 1 compiles serially). Any setting is
-// bit-identical.
+// its worker group (0 picks GOMAXPROCS, serial or on the campaign
+// engine; 1 compiles serially). Any setting is bit-identical.
 //
 // -trace streams one JSON object per finished methodology-stage span
 // (sprinkle, collapse, inject, faultsim, classify, detect, goodspace)
@@ -141,7 +140,7 @@ func main() {
 		macroName  = flag.String("macro", "all", "macro to analyse (comparator|ladder|biasgen|clockgen|decoder|all)")
 		jsonOut    = flag.String("json", "", "also write a machine-readable summary to this file")
 		workers    = flag.Int("workers", 1, "campaign workers (1 = serial, 0 = GOMAXPROCS)")
-		gsworkers  = flag.Int("gsworkers", 0, "good-space die workers (0 = automatic, 1 = serial; any setting is bit-identical)")
+		gsworkers  = flag.Int("gsworkers", 0, "good-space die workers (0 = GOMAXPROCS, 1 = serial; any setting is bit-identical)")
 		checkpoint = flag.String("checkpoint", "", "checkpoint file for the campaign engine (\"\" disables)")
 		resume     = flag.Bool("resume", false, "resume from the checkpoint, skipping finished units")
 		jsonStats  = flag.String("json-stats", "", "write the campaign's run metrics to this file")

@@ -52,7 +52,7 @@ func analyzeInterruptChild() {
 		OnUnitDone: func(key string, restored bool) { fmt.Println("unit", key) },
 	}
 	fmt.Println("ready")
-	_, _, err := core.RunParallel(ctx, cfg, false, opts)
+	_, _, err := core.NewPipeline(cfg).RunParallel(ctx, false, opts)
 	switch {
 	case err != nil && ctx.Err() != nil:
 		fmt.Println("cancelled")
@@ -243,7 +243,7 @@ func TestInterruptDuringAnalyzeLeavesResumableCheckpoint(t *testing.T) {
 	}
 
 	// And a resumed campaign must restore them rather than recompute.
-	run, outc, err := core.RunParallel(context.Background(), core.QuickConfig(), false,
+	run, outc, err := core.NewPipeline(core.QuickConfig()).RunParallel(context.Background(), false,
 		campaign.Options{Workers: 2, Store: campaign.FileStore{Path: ckpt}, Resume: true})
 	if err != nil {
 		t.Fatalf("resume failed: %v", err)

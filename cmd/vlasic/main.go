@@ -42,7 +42,7 @@ func main() {
 	case "ladder":
 		m = macros.NewLadder(macros.DefaultVehicle())
 	case "biasgen":
-		m = macros.NewBiasgen(macros.DefaultVehicle())
+		m = macros.NewBiasgen(macros.NewComparator(macros.DefaultVehicle()))
 	case "clockgen":
 		m = macros.NewClockgen(macros.DefaultVehicle())
 	case "decoder":

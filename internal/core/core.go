@@ -203,11 +203,11 @@ type Pipeline struct {
 	// this pipeline. nil — the default — is the zero-cost noop.
 	Obs *obs.Observer
 	// GoodSpaceWorkers bounds the die-level concurrency of the
-	// good-space Monte Carlo (see goodspace.go): 0 is automatic —
-	// GOMAXPROCS, or the campaign worker count inside RunParallel — and
-	// 1 compiles strictly serially. Any setting produces bit-identical
-	// output: the per-die RNG streams make dies order-independent and
-	// the merge is index-ordered.
+	// good-space Monte Carlo (see goodspace.go): 0 is GOMAXPROCS, on
+	// every entry point, and 1 compiles serially. The pipeline never
+	// writes it. Any setting produces bit-identical output: the per-die
+	// RNG streams make dies order-independent and the merge is
+	// index-ordered.
 	GoodSpaceWorkers int
 
 	veh     macros.Vehicle
@@ -230,29 +230,29 @@ type Pipeline struct {
 
 	// pool reuses fault-free simulation engines across class analyses
 	// (checkout semantics — concurrent campaign workers each hold at
-	// most one engine per circuit key at a time); base memoises the
-	// fault-free baseline responses the analyses compare against. Both
-	// are bit-identity-preserving caches: a hit returns exactly what a
-	// recompute would, so serial and parallel campaigns stay byte-equal.
+	// most one engine per circuit key at a time). It preserves bit
+	// identity: a checkout returns exactly what a fresh build would, so
+	// serial and parallel campaigns stay byte-equal. The fault-free
+	// baselines the analyses compare against are memoised on the macros
+	// that own them.
 	pool *macros.EnginePool
-	base *macros.Baselines
 }
 
 // NewPipeline constructs the five-macro pipeline of the configured
 // vehicle (the paper's case study at the default 8-bit resolution).
 func NewPipeline(cfg Config) *Pipeline {
 	veh := cfg.Vehicle()
+	cmp := macros.NewComparator(veh)
 	p := &Pipeline{
 		Cfg:     cfg,
 		Proc:    process.Default(),
 		veh:     veh,
-		cmp:     macros.NewComparator(veh),
+		cmp:     cmp,
 		ladder:  macros.NewLadder(veh),
-		biasgen: macros.NewBiasgen(veh),
+		biasgen: macros.NewBiasgen(cmp),
 		clock:   macros.NewClockgen(veh),
 		decoder: macros.NewDecoder(veh),
 		pool:    macros.NewEnginePool(),
-		base:    macros.NewBaselines(),
 	}
 	p.all = []macros.Macro{p.cmp, p.ladder, p.biasgen, p.clock, p.decoder}
 	return p
@@ -267,39 +267,14 @@ func (p *Pipeline) MacroNames() []string {
 	return out
 }
 
-// partsEnv carries the resources one fault-free parts simulation runs
-// with: the engine pool and baseline cache to go through (the good-space
-// die workers own private ones — see goodspace.go — while the nominal
-// cache uses the pipeline's shared pair) and how many of the independent
-// macro transients may run concurrently.
-type partsEnv struct {
-	pool *macros.EnginePool
-	base *macros.Baselines
-	// fanout bounds the concurrent macro simulations (<= 1 is the
-	// serial loop).
-	fanout int
-}
-
-// sharedEnv is the pipeline-owned serial environment.
-func (p *Pipeline) sharedEnv() partsEnv {
-	return partsEnv{pool: p.pool, base: p.base}
-}
-
-// partsFor simulates the fault-free response of the chip-composition
-// macros under one variation. The four macros are independent circuits,
-// so env.fanout > 1 spreads them over a bounded goroutine group; the
-// assembled map is identical either way (each macro's simulation is
-// deterministic and keyed by name).
-func (p *Pipeline) partsFor(ctx context.Context, v macros.Variation, dft bool, currentsOnly bool, met *obs.Metrics, env partsEnv) (map[string]*signature.Response, error) {
+// partsFor simulates the fault-free currents of the chip-composition
+// macros under one variation, checking engines out of pool.
+func (p *Pipeline) partsFor(ctx context.Context, v macros.Variation, dft bool, met *obs.Metrics, pool *macros.EnginePool) (map[string]*signature.Response, error) {
 	opt := macros.RespondOpts{
-		Var: v, DfT: dft, CurrentsOnly: currentsOnly,
-		Obs: p.Obs, Metrics: met,
-		Pool: env.pool, Base: env.base,
+		Var: v, DfT: dft, CurrentsOnly: true,
+		Obs: p.Obs, Metrics: met, Pool: pool,
 	}
 	ms := []macros.Macro{p.cmp, p.ladder, p.clock, p.decoder}
-	if env.fanout > 1 {
-		return p.partsFanout(ctx, ms, opt, env.fanout)
-	}
 	parts := map[string]*signature.Response{}
 	for _, m := range ms {
 		resp, err := m.Respond(ctx, nil, opt)
@@ -405,7 +380,7 @@ func (p *Pipeline) GoodSpace(ctx context.Context, dft bool) (*signature.GoodSpac
 // nominals returns (and caches) the nominal-variation fault-free parts.
 func (p *Pipeline) nominals(ctx context.Context, dft bool) (map[string]*signature.Response, error) {
 	parts, _, err := p.nomParts.Get(ctx, dft, func() (map[string]*signature.Response, error) {
-		return p.partsFor(ctx, macros.Nominal(), dft, true, nil, p.sharedEnv())
+		return p.partsFor(ctx, macros.Nominal(), dft, nil, p.pool)
 	})
 	return parts, err
 }
@@ -464,7 +439,7 @@ func (p *Pipeline) AnalyzeClass(ctx context.Context, macroName string, c faults.
 	resp, err := m.Respond(ctx, &c.Fault, macros.RespondOpts{
 		NonCat: nonCat, Var: macros.Nominal(), DfT: dft,
 		Obs: p.Obs, Class: label, Macro: macroName, Metrics: met,
-		Pool: p.pool, Base: p.base,
+		Pool: p.pool,
 	})
 	if err != nil {
 		// A cancelled analysis must surface as an abort — folding it

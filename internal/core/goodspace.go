@@ -9,21 +9,18 @@
 // index order — exactly the slice the serial loop would have produced,
 // so signature.Compile sees bit-identical input for any worker count.
 //
-// Pool ownership rules: every die worker owns a private EnginePool and
-// Baselines pair. The per-die variations never repeat, so routing them
-// through the pipeline's shared caches would only flood those with
-// engines and baselines no later analysis can ever hit; a private pool
-// still gives the intra-die reuse that matters (the comparator's
-// lo/hi transients share one engine), and it is dropped when the
-// compile ends. Within one die, the four chip-composition macros are
-// independent circuits; when the worker group has more workers than
-// remaining dies the surplus fans out those macro transients
-// (partsFor's env.fanout).
+// Pool ownership: every die worker owns a private EnginePool, and one
+// worker is the serial compile. The per-die variations never repeat, so
+// routing them through the pipeline's shared pool would only flood it
+// with engines no later analysis can check out; a private pool still
+// gives the intra-die reuse that matters (the comparator's lo/hi
+// transients share one engine), and it is dropped when the compile
+// ends. The dies run CurrentsOnly, so they never reach the macros'
+// fault-free memos.
 package core
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"runtime"
 	"strconv"
@@ -37,12 +34,13 @@ import (
 )
 
 // goodSpaceWorkers resolves the die-level worker count (see the
-// GoodSpaceWorkers field: 0 is automatic).
+// GoodSpaceWorkers field: 0 is GOMAXPROCS), clamped to the die count.
 func (p *Pipeline) goodSpaceWorkers() int {
-	if p.GoodSpaceWorkers > 0 {
-		return p.GoodSpaceWorkers
+	w := p.GoodSpaceWorkers
+	if w <= 0 {
+		w = runtime.GOMAXPROCS(0)
 	}
-	return runtime.GOMAXPROCS(0)
+	return min(w, p.Cfg.MCSamples)
 }
 
 // compileGoodSpace runs the good-space Monte Carlo and compiles the
@@ -59,12 +57,12 @@ func (p *Pipeline) compileGoodSpace(ctx context.Context, dft bool) (*signature.G
 	return signature.Compile(samples, p.Cfg.NSigma, p.Cfg.FloorA), nil
 }
 
-// goodDie simulates Monte Carlo die i under env and returns its
+// goodDie simulates Monte Carlo die i on pool and returns its
 // chip-level fault-free response. The die's span carries a private
 // counter block so its deltas attribute only this die's work even when
 // dies run concurrently; the block is merged into the stage-level met
 // before returning.
-func (p *Pipeline) goodDie(ctx context.Context, i int, dft bool, env partsEnv, met *obs.Metrics) (*signature.Response, error) {
+func (p *Pipeline) goodDie(ctx context.Context, i int, dft bool, pool *macros.EnginePool, met *obs.Metrics) (*signature.Response, error) {
 	dieMet := met
 	if p.Obs != nil {
 		dieMet = &obs.Metrics{}
@@ -74,7 +72,7 @@ func (p *Pipeline) goodDie(ctx context.Context, i int, dft bool, env partsEnv, m
 	defer sp.End()
 	rng := rand.New(rand.NewSource(StreamSeed(p.Cfg.Seed, "goodspace", strconv.Itoa(i))))
 	v := macros.Draw(rng)
-	parts, err := p.partsFor(ctx, v, dft, true, dieMet, env)
+	parts, err := p.partsFor(ctx, v, dft, dieMet, pool)
 	if err != nil {
 		return nil, err
 	}
@@ -92,48 +90,22 @@ func (p *Pipeline) goodSamples(ctx context.Context, dft bool, met *obs.Metrics) 
 	n := p.Cfg.MCSamples
 	samples := make([]*signature.Response, n)
 	workers := p.goodSpaceWorkers()
-	if workers <= 1 {
-		// Serial compile. The pool/baseline pair is still private to the
-		// compile (not the pipeline's shared caches) — see the package
-		// comment's ownership rules.
-		env := partsEnv{pool: macros.NewEnginePool(), base: macros.NewBaselines()}
-		for i := 0; i < n; i++ {
-			r, err := p.goodDie(ctx, i, dft, env, met)
-			if err != nil {
-				return nil, err
-			}
-			samples[i] = r
-		}
-		return samples, nil
-	}
-
-	// Surplus workers beyond the die count fan out the four macro
-	// transients inside each die instead of idling.
-	fanout := 1
-	dieWorkers := workers
-	if n > 0 && workers > n {
-		dieWorkers = n
-		fanout = (workers + n - 1) / n
-		if fanout > 4 {
-			fanout = 4
-		}
-	}
 	gctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var next atomic.Int64
-	errs := make([]error, dieWorkers)
+	errs := make([]error, workers)
 	var wg sync.WaitGroup
-	for w := 0; w < dieWorkers; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			env := partsEnv{pool: macros.NewEnginePool(), base: macros.NewBaselines(), fanout: fanout}
+			pool := macros.NewEnginePool()
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n || gctx.Err() != nil {
 					return
 				}
-				r, err := p.goodDie(gctx, i, dft, env, met)
+				r, err := p.goodDie(gctx, i, dft, pool, met)
 				if err != nil {
 					errs[w] = err
 					cancel() // abort the group on first failure
@@ -164,62 +136,4 @@ func (p *Pipeline) goodSamples(ctx context.Context, dft bool, met *obs.Metrics) 
 		return nil, err
 	}
 	return samples, nil
-}
-
-// partsFanout simulates the independent chip-composition macros on a
-// bounded goroutine group (the env.fanout > 1 arm of partsFor). Results
-// land in per-macro slots, so assembly order — and therefore the
-// returned map — is independent of scheduling.
-func (p *Pipeline) partsFanout(ctx context.Context, ms []macros.Macro, opt macros.RespondOpts, fanout int) (map[string]*signature.Response, error) {
-	if fanout > len(ms) {
-		fanout = len(ms)
-	}
-	gctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	resps := make([]*signature.Response, len(ms))
-	errs := make([]error, len(ms))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < fanout; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(ms) || gctx.Err() != nil {
-					return
-				}
-				resp, err := ms[i].Respond(gctx, nil, opt)
-				if err != nil {
-					errs[i] = err
-					cancel()
-					return
-				}
-				resps[i] = resp
-			}
-		}()
-	}
-	wg.Wait()
-	for i, m := range ms {
-		if err := errs[i]; err != nil && !spice.IsCancelled(err) {
-			return nil, fmt.Errorf("core: nominal %s: %w", m.Name(), err)
-		}
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err // a cancellation
-		}
-	}
-	parts := make(map[string]*signature.Response, len(ms))
-	for i, m := range ms {
-		if resps[i] == nil {
-			// Skipped because the group was cancelled underneath us.
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			return nil, context.Canceled
-		}
-		parts[m.Name()] = resps[i]
-	}
-	return parts, nil
 }

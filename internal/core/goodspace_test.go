@@ -16,8 +16,9 @@ import (
 	"repro/internal/spice"
 )
 
-// goodSpaceTestCfg trims the Monte Carlo to 6 dies so the 9-worker case
-// exercises the surplus-worker macro fan-out path (workers > dies).
+// goodSpaceTestCfg trims the Monte Carlo to 6 dies, so the 9-worker
+// case also covers the clamp: a worker count above the die count runs
+// one worker per die.
 func goodSpaceTestCfg() core.Config {
 	cfg := core.QuickConfig()
 	cfg.Defects = 1200

@@ -12,7 +12,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"runtime"
 	"strconv"
 	"strings"
 
@@ -140,17 +139,6 @@ func (p *Pipeline) RunParallel(ctx context.Context, dft bool, opts campaign.Opti
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// The good-space Monte Carlo inherits the campaign's worker count
-	// when no explicit die-level bound was set: the campaign workers sit
-	// idle in the sprinkle barrier anyway while the good space compiles,
-	// so the same parallelism budget applies.
-	if p.GoodSpaceWorkers == 0 {
-		if opts.Workers > 0 {
-			p.GoodSpaceWorkers = opts.Workers
-		} else {
-			p.GoodSpaceWorkers = runtime.GOMAXPROCS(0)
-		}
-	}
 	// Overlap the good-space compile with the campaign's defect-sprinkle
 	// front half: the class-analysis units join the in-flight compile via
 	// GoodSpace's single-flight registry the moment they need it. A real
@@ -215,12 +203,6 @@ func (p *Pipeline) RunParallel(ctx context.Context, dft bool, opts campaign.Opti
 	}
 	run, err := p.mergeRun(dft, out)
 	return run, out, err
-}
-
-// RunParallel is the package-level convenience entry point: one fresh
-// pipeline, one DfT setting, executed on the campaign engine.
-func RunParallel(ctx context.Context, cfg Config, dft bool, opts campaign.Options) (*Run, *campaign.Outcome, error) {
-	return NewPipeline(cfg).RunParallel(ctx, dft, opts)
 }
 
 // mergeRun reassembles the campaign's keyed results into a Run in

@@ -187,3 +187,15 @@ func TestMergeRunTwice(t *testing.T) {
 		t.Fatal("merging mutated the campaign Outcome's stored results")
 	}
 }
+
+// TestPipelineBiasgenSharesComparator: the pipeline builds its biasgen
+// on its own comparator, so comparator and biasgen analyses share one
+// design-offset bisection and one nominal reference per DfT setting
+// (macros.TestBiasgenSharesComparatorDesignOffset pins the sharing).
+func TestPipelineBiasgenSharesComparator(t *testing.T) {
+	p := NewPipeline(QuickConfig())
+	got := reflect.ValueOf(p.biasgen).Elem().FieldByName("cmp").Pointer()
+	if want := reflect.ValueOf(p.cmp).Pointer(); got != want {
+		t.Fatalf("biasgen simulates on comparator %#x, pipeline comparator is %#x", got, want)
+	}
+}

@@ -55,7 +55,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 	want := renderRun(t, serial)
 
 	for _, workers := range []int{1, 4, 9} {
-		run, out, err := core.RunParallel(context.Background(), cfg, false,
+		run, out, err := core.NewPipeline(cfg).RunParallel(context.Background(), false,
 			campaign.Options{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -84,7 +84,7 @@ func TestCampaignCheckpointResume(t *testing.T) {
 	cfg := parallelTestCfg()
 	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
 
-	uninterrupted, _, err := core.RunParallel(context.Background(), cfg, false,
+	uninterrupted, _, err := core.NewPipeline(cfg).RunParallel(context.Background(), false,
 		campaign.Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +94,7 @@ func TestCampaignCheckpointResume(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var done atomic.Int32
-	_, partial, err := core.RunParallel(ctx, cfg, false, campaign.Options{
+	_, partial, err := core.NewPipeline(cfg).RunParallel(ctx, false, campaign.Options{
 		Workers:         2,
 		Store:           campaign.FileStore{Path: ckpt},
 		CheckpointEvery: 1,
@@ -111,7 +111,7 @@ func TestCampaignCheckpointResume(t *testing.T) {
 		t.Fatal("no units completed before cancellation")
 	}
 
-	run, out, err := core.RunParallel(context.Background(), cfg, false, campaign.Options{
+	run, out, err := core.NewPipeline(cfg).RunParallel(context.Background(), false, campaign.Options{
 		Workers: 2,
 		Store:   campaign.FileStore{Path: ckpt},
 		Resume:  true,
@@ -136,13 +136,13 @@ func TestRunParallelFingerprintGuard(t *testing.T) {
 	cfg := parallelTestCfg()
 	cfg.MaxClassesPerMacro = 1
 	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
-	if _, _, err := core.RunParallel(context.Background(), cfg, false,
+	if _, _, err := core.NewPipeline(cfg).RunParallel(context.Background(), false,
 		campaign.Options{Workers: 2, Store: campaign.FileStore{Path: ckpt}}); err != nil {
 		t.Fatal(err)
 	}
 	other := cfg
 	other.Seed++
-	if _, _, err := core.RunParallel(context.Background(), other, false,
+	if _, _, err := core.NewPipeline(other).RunParallel(context.Background(), false,
 		campaign.Options{Workers: 2, Store: campaign.FileStore{Path: ckpt}, Resume: true}); err == nil {
 		t.Fatal("resume across configs must fail the fingerprint check")
 	}
@@ -151,14 +151,31 @@ func TestRunParallelFingerprintGuard(t *testing.T) {
 	// exactly like a seed change.
 	mcChanged := cfg
 	mcChanged.MCSamples++
-	if _, _, err := core.RunParallel(context.Background(), mcChanged, false,
+	if _, _, err := core.NewPipeline(mcChanged).RunParallel(context.Background(), false,
 		campaign.Options{Workers: 2, Store: campaign.FileStore{Path: ckpt}, Resume: true}); err == nil {
 		t.Fatal("resume across MCSamples settings must fail the fingerprint check")
 	}
 	nsChanged := cfg
 	nsChanged.NSigma++
-	if _, _, err := core.RunParallel(context.Background(), nsChanged, false,
+	if _, _, err := core.NewPipeline(nsChanged).RunParallel(context.Background(), false,
 		campaign.Options{Workers: 2, Store: campaign.FileStore{Path: ckpt}, Resume: true}); err == nil {
 		t.Fatal("resume across NSigma settings must fail the fingerprint check")
+	}
+}
+
+// TestRunParallelLeavesGoodSpaceWorkers: RunParallel reads the
+// pipeline's GoodSpaceWorkers but never writes it, so one run cannot
+// change the next and concurrent runs on one pipeline do not race on
+// it. 0 stays GOMAXPROCS.
+func TestRunParallelLeavesGoodSpaceWorkers(t *testing.T) {
+	cfg := parallelTestCfg()
+	cfg.MCSamples = 2
+	cfg.MaxClassesPerMacro = 1
+	p := core.NewPipeline(cfg)
+	if _, _, err := p.RunParallel(context.Background(), false, campaign.Options{Workers: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if p.GoodSpaceWorkers != 0 {
+		t.Fatalf("GoodSpaceWorkers = %d after RunParallel, want 0", p.GoodSpaceWorkers)
 	}
 }

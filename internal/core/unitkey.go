@@ -90,11 +90,3 @@ func (p *Pipeline) ExecuteUnit(ctx context.Context, key string, dft bool) (any, 
 	}
 	return p.AnalyzeClass(ctx, macroName, run.Classes[index], nonCat, dft)
 }
-
-// DecodeUnit rebuilds a typed unit result from its marshalled JSON —
-// the exported face of the checkpoint/wire codec, for embedders (the
-// job server, the remote worker) that move unit results between
-// processes.
-func DecodeUnit(key string, raw []byte) (any, error) {
-	return decodeUnit(key, raw)
-}

@@ -95,7 +95,7 @@ func TestExecuteUnitByteIdentity(t *testing.T) {
 			t.Fatalf("unit %s diverges:\n daemon %s\n worker %s", cu.Key, ja, jb)
 		}
 		// And the round trip through the wire codec stays typed.
-		dec, err := DecodeUnit(cu.Key, jb)
+		dec, err := decodeUnit(cu.Key, jb)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -28,7 +28,7 @@ var testSpec = core.JobSpec{
 }
 
 // refOnce computes the reference result bytes once per test binary: the
-// direct core.RunParallel + report.JSON of testSpec — what `dotest`
+// direct Pipeline.RunParallel + report.JSON of testSpec — what `dotest`
 // with the same parameters writes.
 var (
 	refOnce  sync.Once
@@ -39,8 +39,8 @@ var (
 func referenceResult(t *testing.T) []byte {
 	t.Helper()
 	refOnce.Do(func() {
-		run, _, err := core.RunParallel(context.Background(),
-			testSpec.Config(), false, campaign.Options{Workers: 4})
+		run, _, err := core.NewPipeline(testSpec.Config()).RunParallel(context.Background(),
+			false, campaign.Options{Workers: 4})
 		if err != nil {
 			refErr = err
 			return

@@ -218,8 +218,7 @@ func Cases() []Case {
 			// fails rather than just slowing down.
 			l := macros.NewLadder(macros.DefaultVehicle())
 			met := &obs.Metrics{}
-			opt := macros.RespondOpts{Var: macros.Nominal(),
-				Base: macros.NewBaselines(), Metrics: met}
+			opt := macros.RespondOpts{Var: macros.Nominal(), Metrics: met}
 			f := &faults.Fault{Kind: faults.Short, Nets: []string{"t096", "t128"}, Res: 25}
 			if _, err := l.Respond(context.Background(), f, opt); err != nil {
 				b.Fatal(err)
@@ -245,8 +244,7 @@ func Cases() []Case {
 			// with vehicle size, with the same fast-path guard.
 			l := macros.NewLadder(macros.Vehicle{Bits: 6})
 			met := &obs.Metrics{}
-			opt := macros.RespondOpts{Var: macros.Nominal(),
-				Base: macros.NewBaselines(), Metrics: met}
+			opt := macros.RespondOpts{Var: macros.Nominal(), Metrics: met}
 			f := &faults.Fault{Kind: faults.Short, Nets: []string{"t016", "t032"}, Res: 25}
 			if _, err := l.Respond(context.Background(), f, opt); err != nil {
 				b.Fatal(err)

@@ -18,14 +18,15 @@ import (
 // 2^N slices, so an offset signature is common-mode and does not cause
 // missing codes.
 type BiasgenMacro struct {
-	// Veh is the vehicle spec (slice count for common-mode propagation).
-	Veh Vehicle
 	cmp *ComparatorMacro
 }
 
-// NewBiasgen returns the bias generator macro of the given vehicle.
-func NewBiasgen(veh Vehicle) *BiasgenMacro {
-	return &BiasgenMacro{Veh: veh, cmp: NewComparator(veh)}
+// NewBiasgen returns the bias generator macro simulated on the given
+// comparator. Sharing the pipeline's comparator shares its fault-free
+// memos too: one design-offset bisection and one nominal reference per
+// setting serve the comparator and the biasgen analyses alike.
+func NewBiasgen(cmp *ComparatorMacro) *BiasgenMacro {
+	return &BiasgenMacro{cmp: cmp}
 }
 
 // Name implements Macro.
@@ -43,7 +44,7 @@ func (m *BiasgenMacro) Respond(ctx context.Context, f *faults.Fault, opt Respond
 	// Bias deviations shift every slice identically.
 	if resp.Voltage == signature.VSigOffset || resp.Voltage == signature.VSigNone {
 		resp.CommonMode = true
-		resp.MissingCode = propagateSlice(m.Veh, resp)
+		resp.MissingCode = propagateSlice(m.cmp.Veh, resp)
 	}
 	return resp, nil
 }

@@ -28,8 +28,23 @@ type ComparatorMacro struct {
 	// VRef is the reference tap this slice compares against.
 	VRef float64
 
-	// designOffset memoises the fault-free offset per DfT setting.
+	// The fault-free memos: the design offset per DfT setting, and the
+	// full nominal response the gate-oxide-short worst case is ranked
+	// against. Entries come only from completed, error-free f == nil
+	// simulations, so a faulty analysis can neither read nor poison
+	// them; values are shared read-only, and since the simulations are
+	// deterministic a hit is bit-for-bit a recompute.
 	designOffset memo.Cache[bool, float64]
+	nominal      memo.Cache[cmpNomKey, *signature.Response]
+}
+
+// cmpNomKey identifies one memoised nominal response: the circuit
+// identity (dft, variation) plus the CurrentsOnly flag, which changes
+// what the response contains.
+type cmpNomKey struct {
+	dft          bool
+	currentsOnly bool
+	v            Variation
 }
 
 // NewComparator returns the comparator macro of the given vehicle with
@@ -49,12 +64,12 @@ func NewComparatorWithRef(veh Vehicle, vref float64) *ComparatorMacro {
 // signatures are classified on the offset *deviation* from this value —
 // the systematic part is shared by all of the vehicle's slices and
 // therefore part of the good signature. The bisection runs once per DfT
-// setting; a cancelled one is not cached. The caller's pool and
-// baseline cache are threaded through so the bisection's engine is
-// rebind-served like any other fault-free run.
-func (m *ComparatorMacro) nominalOffset(ctx context.Context, dft bool, pool *EnginePool, base *Baselines) (float64, error) {
+// setting; a cancelled one is not cached. The caller's pool is threaded
+// through so the bisection's engine is rebind-served like any other
+// fault-free run.
+func (m *ComparatorMacro) nominalOffset(ctx context.Context, dft bool, pool *EnginePool) (float64, error) {
 	off, _, err := m.designOffset.Get(ctx, dft, func() (float64, error) {
-		ses := m.newSession(nil, RespondOpts{Var: Nominal(), DfT: dft, Pool: pool, Base: base}, 0)
+		ses := m.newSession(nil, RespondOpts{Var: Nominal(), DfT: dft, Pool: pool}, 0)
 		defer ses.close()
 		off, ok, err := m.bisectOffset(ctx, ses)
 		if !ok {
@@ -414,16 +429,10 @@ func (m *ComparatorMacro) Respond(ctx context.Context, f *faults.Fault, opt Resp
 
 // nominalResponse returns the fault-free response under opt — the
 // reference against which the gate-oxide-short worst case is ranked —
-// through the baseline cache when one is attached. Only completed,
-// error-free responses are stored, and consumers treat the shared
-// response as read-only.
+// through the macro's nominal memo.
 func (m *ComparatorMacro) nominalResponse(ctx context.Context, opt RespondOpts) (*signature.Response, error) {
-	var cache *memo.Cache[cmpNomKey, *signature.Response]
-	if opt.Base != nil {
-		cache = &opt.Base.cmpNom
-	}
-	key := cmpNomKey{vref: m.VRef, dft: opt.DfT, currentsOnly: opt.CurrentsOnly, v: opt.Var}
-	r, hit, err := cache.Get(ctx, key, func() (*signature.Response, error) {
+	key := cmpNomKey{dft: opt.DfT, currentsOnly: opt.CurrentsOnly, v: opt.Var}
+	r, hit, err := m.nominal.Get(ctx, key, func() (*signature.Response, error) {
 		return m.Respond(ctx, nil, opt)
 	})
 	if hit {
@@ -493,7 +502,7 @@ func (m *ComparatorMacro) respondVariant(ctx context.Context, f *faults.Fault, o
 		case !ok:
 			resp.Voltage = signature.VSigMixed
 		default:
-			nomOff, err := m.nominalOffset(ctx, opt.DfT, opt.Pool, opt.Base)
+			nomOff, err := m.nominalOffset(ctx, opt.DfT, opt.Pool)
 			if err != nil {
 				csp.End()
 				return nil, err

@@ -52,7 +52,7 @@ func TestComparatorSmallInputResolved(t *testing.T) {
 	// 4 mV above the design trip point must resolve to 1; 4 mV below
 	// to 0 (the trip point includes the systematic charge-injection
 	// offset, as in silicon).
-	nomOff, err := m.nominalOffset(context.Background(), false, nil, nil)
+	nomOff, err := m.nominalOffset(context.Background(), false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

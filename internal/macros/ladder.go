@@ -26,6 +26,15 @@ type LadderMacro struct {
 	// Veh is the vehicle spec: segment/tap count and nominal segment
 	// resistance (Vehicle.LadderSegments, Vehicle.RSeg) derive from it.
 	Veh Vehicle
+
+	// The fault-free memos, per variation: the nominal tap voltages
+	// every class analysis compares against, and the nominal
+	// factorization the rank-1 path updates. The circuit is fully
+	// determined by the variation (the ladder has no DfT variant), so a
+	// hit is bit-for-bit a recompute; values are shared read-only (a
+	// NominalFactor is immutable once built).
+	taps memo.Cache[Variation, []float64]
+	nf   memo.Cache[Variation, *spice.NominalFactor]
 }
 
 // LadderRowLen is the number of segments per serpentine row.
@@ -63,20 +72,27 @@ func (l *LadderMacro) buildLadderInto(b *netlist.Builder, v Variation) {
 	}
 }
 
-// solveTaps returns the tap voltages and terminal currents. Faulted
-// solves first try the low-rank update path against the variation's
-// shared nominal factorization; faults it cannot express (topology
-// changes, ill-conditioned corrections) fall through to the classic
-// build-inject-refactor path below, which is also the path of every
-// fault-free solve.
+// solveTaps returns the tap voltages and terminal currents. A faulted
+// solve first tries the low-rank update path against the variation's
+// memoised nominal factorization; faults it cannot express (topology
+// changes, ill-conditioned corrections) fall back to buildTaps, which
+// is also the path of every fault-free solve.
 func (l *LadderMacro) solveTaps(ctx context.Context, f *faults.Fault, opt RespondOpts) (taps []float64, ihi, ilo float64, err error) {
-	if f != nil && opt.Base != nil {
+	if f != nil {
 		if taps, ihi, ilo, ok, err := l.solveTapsUpdated(ctx, f, opt); ok {
 			return taps, ihi, ilo, err
 		}
+	}
+	return l.buildTaps(ctx, f, opt)
+}
+
+// buildTaps is the classic build-inject-factor solve. For a faulty
+// ladder it is the rank-1 fallback, and counted as one.
+func (l *LadderMacro) buildTaps(ctx context.Context, f *faults.Fault, opt RespondOpts) (taps []float64, ihi, ilo float64, err error) {
+	sp := opt.span(obs.StageInject, l.Name())
+	if f != nil {
 		opt.Metrics.Add(obs.CtrRank1Fallbacks, 1)
 	}
-	sp := opt.span(obs.StageInject, l.Name())
 	eng, release, err := checkoutEngine(opt, engineCheckout{
 		key:   engineKey{macro: l.Name()},
 		f:     f,
@@ -109,7 +125,7 @@ func (l *LadderMacro) solveTaps(ctx context.Context, f *faults.Fault, opt Respon
 // the fault as a conductance delta against the variation's cached
 // nominal factorization and solves it with a Sherman–Morrison–Woodbury
 // correction — no circuit rebuild, no refactorization. ok=false means
-// "not handled here, take the classic path" (and the caller counts the
+// "not handled here, take the classic path" (which counts the
 // fallback); ok=true with a non-nil err carries a genuine failure (only
 // cancellation, in practice) with the same semantics as the classic
 // path. Results agree with the classic path within the Newton
@@ -119,7 +135,7 @@ func (l *LadderMacro) solveTapsUpdated(ctx context.Context, f *faults.Fault, opt
 		return nil, 0, 0, true, err
 	}
 	sp := opt.span(obs.StageInject, l.Name())
-	nf, _, err := opt.Base.ladderNF.Get(ctx, opt.Var, func() (*spice.NominalFactor, error) {
+	nf, _, err := l.nf.Get(ctx, opt.Var, func() (*spice.NominalFactor, error) {
 		return spice.NewNominalFactor(l.buildLadderCircuit(opt.Var).C, opt.simOptions())
 	})
 	if err != nil {
@@ -140,6 +156,9 @@ func (l *LadderMacro) solveTapsUpdated(ctx context.Context, f *faults.Fault, opt
 	}
 	sp = opt.span(obs.StageFaultSim, l.Name())
 	sol, err := nf.SolveUpdated(upd)
+	if err == nil {
+		opt.Metrics.Add(obs.CtrRank1Solves, 1)
+	}
 	sp.End()
 	if err != nil {
 		// Ill-conditioned correction or non-convergence: let the classic
@@ -147,7 +166,6 @@ func (l *LadderMacro) solveTapsUpdated(ctx context.Context, f *faults.Fault, opt
 		// classic semantics if the system really is unsolvable).
 		return nil, 0, 0, false, nil
 	}
-	opt.Metrics.Add(obs.CtrRank1Solves, 1)
 	taps = make([]float64, l.Veh.LadderSegments()+1)
 	for k := range taps {
 		taps[k] = sol.V(tapName(k))
@@ -155,19 +173,13 @@ func (l *LadderMacro) solveTapsUpdated(ctx context.Context, f *faults.Fault, opt
 	return taps, sol.I("vrefhi"), sol.I("vreflo"), true, nil
 }
 
-// nominalTaps returns the fault-free tap voltages under opt's variation,
-// through the baseline cache when one is attached — every class analysis
-// needs the same reference vector, so the good machine is solved once
-// per variation instead of once per class. The cached slice is shared
-// read-only; the circuit is fully determined by the variation (the
-// ladder has no DfT variant), so a hit is bit-for-bit a recompute.
+// nominalTaps returns the fault-free tap voltages under opt's variation
+// through the tap memo: every class analysis needs the same reference
+// vector, so the good machine is solved once per variation instead of
+// once per class.
 func (l *LadderMacro) nominalTaps(ctx context.Context, opt RespondOpts) ([]float64, error) {
-	var cache *memo.Cache[Variation, []float64]
-	if opt.Base != nil {
-		cache = &opt.Base.ladder
-	}
-	taps, hit, err := cache.Get(ctx, opt.Var, func() ([]float64, error) {
-		taps, _, _, err := l.solveTaps(ctx, nil, opt)
+	taps, hit, err := l.taps.Get(ctx, opt.Var, func() ([]float64, error) {
+		taps, _, _, err := l.buildTaps(ctx, nil, opt)
 		return taps, err
 	})
 	if hit {

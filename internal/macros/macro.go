@@ -132,12 +132,6 @@ type RespondOpts struct {
 	// Respond calls (checkout semantics; see EnginePool). Faulty runs
 	// always build fresh engines.
 	Pool *EnginePool
-	// Base, when non-nil, memoises fault-free baseline results (nominal
-	// ladder taps, comparator good-machine responses) so repeated class
-	// analyses stop re-simulating the good machine. Hits — including a
-	// caller that joins another's in-flight computation — are counted on
-	// Metrics under obs.CtrBaselineCacheHits.
-	Base *Baselines
 }
 
 // span opens an observability span labelled with this response's class

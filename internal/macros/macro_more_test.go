@@ -150,7 +150,7 @@ func TestLadderTapName(t *testing.T) {
 }
 
 func TestMacroInterfaces(t *testing.T) {
-	ms := []Macro{NewComparator(DefaultVehicle()), NewLadder(DefaultVehicle()), NewBiasgen(DefaultVehicle()), NewClockgen(DefaultVehicle()), NewDecoder(DefaultVehicle())}
+	ms := []Macro{NewComparator(DefaultVehicle()), NewLadder(DefaultVehicle()), NewBiasgen(NewComparator(DefaultVehicle())), NewClockgen(DefaultVehicle()), NewDecoder(DefaultVehicle())}
 	names := map[string]bool{}
 	for _, m := range ms {
 		if m.Name() == "" || names[m.Name()] {

@@ -178,7 +178,7 @@ func TestClockgenLayoutConnectivity(t *testing.T) {
 // --- Bias generator ---
 
 func TestBiasgenFaultFree(t *testing.T) {
-	m := NewBiasgen(DefaultVehicle())
+	m := NewBiasgen(NewComparator(DefaultVehicle()))
 	resp, err := m.Respond(context.Background(), nil, RespondOpts{Var: Nominal()})
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +192,7 @@ func TestBiasgenFaultFree(t *testing.T) {
 }
 
 func TestBiasgenBiasShortCommonModeUndetectable(t *testing.T) {
-	m := NewBiasgen(DefaultVehicle())
+	m := NewBiasgen(NewComparator(DefaultVehicle()))
 	f := &faults.Fault{Kind: faults.Short, Nets: []string{"vbn1", "vbn2"}, Res: 0.2}
 	resp, err := m.Respond(context.Background(), f, RespondOpts{Var: Nominal()})
 	if err != nil {
@@ -204,7 +204,7 @@ func TestBiasgenBiasShortCommonModeUndetectable(t *testing.T) {
 }
 
 func TestBiasgenNPBiasShortDetectable(t *testing.T) {
-	m := NewBiasgen(DefaultVehicle())
+	m := NewBiasgen(NewComparator(DefaultVehicle()))
 	// The post-DfT adjacency: vbn1-vbp1 short ties 1.1 V to 3.9 V.
 	f := &faults.Fault{Kind: faults.Short, Nets: []string{"vbn1", "vbp1"}, Res: 0.2}
 	resp, err := m.Respond(context.Background(), f, RespondOpts{Var: Nominal(), CurrentsOnly: true})
@@ -230,15 +230,15 @@ func TestBiasgenNPBiasShortDetectable(t *testing.T) {
 
 func TestBiasgenLayout(t *testing.T) {
 	for _, dft := range []bool{false, true} {
-		cell := NewBiasgen(DefaultVehicle()).Layout(dft)
+		cell := NewBiasgen(NewComparator(DefaultVehicle())).Layout(dft)
 		for net, n := range defectsim.CheckConnectivity(cell) {
 			if n != 1 {
 				t.Errorf("dft=%v net %q has %d components", dft, net, n)
 			}
 		}
 	}
-	preX := biasLineX(t, NewBiasgen(DefaultVehicle()).Layout(false))
-	postX := biasLineX(t, NewBiasgen(DefaultVehicle()).Layout(true))
+	preX := biasLineX(t, NewBiasgen(NewComparator(DefaultVehicle())).Layout(false))
+	postX := biasLineX(t, NewBiasgen(NewComparator(DefaultVehicle())).Layout(true))
 	if !(preX["vbn1"] < preX["vbn2"] && preX["vbn2"] < preX["vbp1"]) {
 		t.Fatalf("pre order: %v", preX)
 	}

@@ -3,9 +3,7 @@ package macros
 import (
 	"sync"
 
-	"repro/internal/memo"
 	"repro/internal/netlist"
-	"repro/internal/signature"
 	"repro/internal/spice"
 )
 
@@ -134,35 +132,3 @@ func (p *EnginePool) size() int {
 	}
 	return n
 }
-
-// cmpNomKey identifies one cached comparator fault-free response: the
-// circuit identity (vref, dft, variation) plus the CurrentsOnly flag,
-// which changes what the response contains.
-type cmpNomKey struct {
-	vref         float64
-	dft          bool
-	currentsOnly bool
-	v            Variation
-}
-
-// Baselines memoises fault-free ("good machine") baseline results that
-// class analyses would otherwise re-simulate per class: the ladder's
-// nominal tap voltages and shared nominal factorization under one
-// variation, and the comparator's full fault-free response (the
-// gate-oxide-short worst-case reference). Entries come only from
-// completed, error-free simulations of f == nil circuits — a faulty
-// analysis can neither read nor write them, so a fault never sees (or
-// poisons) a fault-free baseline. Cached values are shared read-only
-// across callers (a NominalFactor is immutable once built); because the
-// simulations are deterministic, a hit returns bit-for-bit what a
-// recompute would.
-//
-// A nil *Baselines disables memoisation.
-type Baselines struct {
-	ladder   memo.Cache[Variation, []float64]
-	ladderNF memo.Cache[Variation, *spice.NominalFactor]
-	cmpNom   memo.Cache[cmpNomKey, *signature.Response]
-}
-
-// NewBaselines returns an empty baseline cache.
-func NewBaselines() *Baselines { return &Baselines{} }

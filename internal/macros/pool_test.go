@@ -2,6 +2,7 @@ package macros
 
 import (
 	"context"
+	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -112,7 +113,7 @@ func TestFaultyRespondBuildsOnce(t *testing.T) {
 	pool := NewEnginePool()
 	// Settle the fault-free design offset first: its own engine build
 	// is not part of the faulty analysis.
-	if _, err := m.nominalOffset(ctx, false, pool, nil); err != nil {
+	if _, err := m.nominalOffset(ctx, false, pool); err != nil {
 		t.Fatal(err)
 	}
 	met := &obs.Metrics{}
@@ -159,26 +160,19 @@ func respCloseTo(a, b *signature.Response, rel float64) bool {
 	return true
 }
 
-// TestLadderBaselineCacheBitIdentical pins the baseline-memo contract on
-// the ladder: a class analysis served a cached nominal tap vector must
-// produce a deterministic response agreeing with a cache-free recompute
-// (bitwise fault-free; within the solver contract for faulty runs,
-// which a cache-armed analysis routes through the low-rank update
-// path), the hit must be counted, and faulty results must never poison
-// the fault-free cache.
+// TestLadderBaselineCacheBitIdentical pins the fault-free memos held on
+// the ladder: a fresh macro is a cold cache; a class analysis served the
+// memoised nominal tap vector is deterministic and agrees with the build
+// path (at solver accuracy: a faulty solve takes the rank-1 update
+// path), the hit is counted, another variation misses, and faulty
+// results never poison the fault-free memo.
 func TestLadderBaselineCacheBitIdentical(t *testing.T) {
 	l := NewLadder(DefaultVehicle())
 	ctx := context.Background()
 	f := &faults.Fault{Kind: faults.Short, Nets: []string{"t096", "t128"}, Res: 25}
 
-	want, err := l.Respond(ctx, f, RespondOpts{Var: Nominal()})
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	met := &obs.Metrics{}
-	base := NewBaselines()
-	opt := RespondOpts{Var: Nominal(), Base: base, Metrics: met}
+	opt := RespondOpts{Var: Nominal(), Metrics: met}
 	first, err := l.Respond(ctx, f, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -201,30 +195,45 @@ func TestLadderBaselineCacheBitIdentical(t *testing.T) {
 	if n := met.Get(obs.CtrRank1Fallbacks); n != 0 {
 		t.Fatalf("rank1_fallbacks = %d, want 0", n)
 	}
-	// Cache-armed analyses are deterministic among themselves and agree
-	// with the classic path at solver accuracy.
 	if !reflect.DeepEqual(first, second) {
 		t.Fatalf("repeated cached analyses diverge:\nfirst  %+v\nsecond %+v", first, second)
 	}
-	if !respCloseTo(want, first, 1e-9) {
-		t.Fatalf("low-rank response disagrees with classic path beyond solver accuracy:\nwant  %+v\ngot   %+v",
-			want, first)
+
+	// The reference: the build-inject-factor path on a fresh macro.
+	want, wantHi, wantLo, err := NewLadder(DefaultVehicle()).buildTaps(ctx, f, RespondOpts{Var: Nominal()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, gotHi, gotLo, err := l.solveTaps(ctx, f, RespondOpts{Var: Nominal()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	close := func(x, y float64) bool {
+		return math.Abs(x-y) <= 1e-12+1e-9*math.Max(math.Abs(x), math.Abs(y))
+	}
+	if !close(wantHi, gotHi) || !close(wantLo, gotLo) {
+		t.Fatalf("terminal currents: rank-1 (%g, %g), build path (%g, %g)", gotHi, gotLo, wantHi, wantLo)
+	}
+	for k := range want {
+		if !close(want[k], got[k]) {
+			t.Fatalf("tap %d: rank-1 %.15g, build path %.15g", k, got[k], want[k])
+		}
 	}
 
 	// A different die must not see this variation's baseline.
 	other := Nominal()
 	other.RhoScale = 1.01
-	if _, err := l.Respond(ctx, f, RespondOpts{Var: other, Base: base, Metrics: met}); err != nil {
+	if _, err := l.Respond(ctx, f, RespondOpts{Var: other, Metrics: met}); err != nil {
 		t.Fatal(err)
 	}
 	if n := met.Get(obs.CtrBaselineCacheHits); n != 1 {
 		t.Fatalf("variation change reused a stale baseline (%d hits)", n)
 	}
 
-	// The fault-free ladder itself, analysed through the same cache, must
-	// match a cache-free run — the faulty analyses cannot have stored
-	// their taps.
-	wantFree, err := l.Respond(ctx, nil, RespondOpts{Var: Nominal()})
+	// The fault-free ladder, analysed through the used memo, must match
+	// a fresh macro's — the faulty analyses cannot have stored their
+	// taps.
+	wantFree, err := NewLadder(DefaultVehicle()).Respond(ctx, nil, RespondOpts{Var: Nominal()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +242,59 @@ func TestLadderBaselineCacheBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(wantFree, gotFree) {
-		t.Fatalf("fault-free response through a used cache diverged:\nwant %+v\ngot  %+v", wantFree, gotFree)
+		t.Fatalf("fault-free response through a used memo diverged:\nwant %+v\ngot  %+v", wantFree, gotFree)
+	}
+}
+
+// TestRank1CountersReachSpans: the rank-1 counters are added inside a
+// span, so trace sinks and the per-stage run metrics see them — one
+// solve for a tap bridge, one fallback for a topology-changing open.
+func TestRank1CountersReachSpans(t *testing.T) {
+	ctx := context.Background()
+	count := func(f *faults.Fault) (solves, fallbacks int64) {
+		t.Helper()
+		agg := obs.NewAgg()
+		opt := RespondOpts{Var: Nominal(), Obs: obs.New(agg), Metrics: &obs.Metrics{}}
+		if _, err := NewLadder(DefaultVehicle()).Respond(ctx, f, opt); err != nil {
+			t.Fatal(err)
+		}
+		for _, st := range agg.Snapshot() {
+			solves += st.Counters[obs.CtrRank1Solves.Name()]
+			fallbacks += st.Counters[obs.CtrRank1Fallbacks.Name()]
+		}
+		return solves, fallbacks
+	}
+	bridge := &faults.Fault{Kind: faults.Short, Nets: []string{"t096", "t128"}, Res: 25}
+	if s, fb := count(bridge); s != 1 || fb != 0 {
+		t.Fatalf("tap bridge: spans sum rank1_solves = %d, rank1_fallbacks = %d; want 1, 0", s, fb)
+	}
+	open := &faults.Fault{Kind: faults.Open, Nets: []string{"t100"},
+		FarTerminals: []faults.Terminal{{Device: "r100", Net: "t100"}}}
+	if s, fb := count(open); s != 0 || fb != 1 {
+		t.Fatalf("tap open: spans sum rank1_solves = %d, rank1_fallbacks = %d; want 0, 1", s, fb)
+	}
+}
+
+// TestBiasgenSharesComparatorDesignOffset: the biasgen simulates on the
+// comparator it was built with, so once a biasgen class has bisected,
+// that comparator's design offset is a memo hit — one bisection per DfT
+// setting serves both macros.
+func TestBiasgenSharesComparatorDesignOffset(t *testing.T) {
+	ctx := context.Background()
+	cmp := NewComparator(DefaultVehicle())
+	f := &faults.Fault{Kind: faults.Short, Nets: []string{"vbn1", "vbn2"}, Res: 0.2}
+	resp, err := NewBiasgen(cmp).Respond(ctx, f, RespondOpts{Var: Nominal()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Voltage != signature.VSigNone && resp.Voltage != signature.VSigOffset {
+		t.Fatalf("biasgen class did not reach the offset bisection: %v", resp.Voltage)
+	}
+	_, hit, err := cmp.designOffset.Get(ctx, false, func() (float64, error) {
+		return 0, errors.New("design offset recomputed")
+	})
+	if err != nil || !hit {
+		t.Fatalf("comparator design offset after a biasgen bisection: hit=%v err=%v", hit, err)
 	}
 }
 
@@ -242,28 +303,31 @@ func TestLadderBaselineCacheBitIdentical(t *testing.T) {
 // second pinhole analysis must hit the cache and return the identical
 // worst-case signature.
 func TestComparatorGOSBaselineCache(t *testing.T) {
-	m := NewComparator(DefaultVehicle())
 	ctx := context.Background()
 	f := &faults.Fault{Kind: faults.GOSPinhole, Device: "m1"}
 
-	want, err := m.Respond(ctx, f, RespondOpts{Var: Nominal(), CurrentsOnly: true})
+	// A fresh macro is a cold cache: its reference is a recompute.
+	want, err := NewComparator(DefaultVehicle()).Respond(ctx, f, RespondOpts{Var: Nominal(), CurrentsOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 
+	m := NewComparator(DefaultVehicle())
 	met := &obs.Metrics{}
-	opt := RespondOpts{Var: Nominal(), CurrentsOnly: true,
-		Base: NewBaselines(), Pool: NewEnginePool(), Metrics: met}
+	opt := RespondOpts{Var: Nominal(), CurrentsOnly: true, Pool: NewEnginePool(), Metrics: met}
 	first, err := m.Respond(ctx, f, opt)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if n := met.Get(obs.CtrBaselineCacheHits); n != 0 {
+		t.Fatalf("first pinhole analysis hit a cold cache (%d hits)", n)
 	}
 	second, err := m.Respond(ctx, f, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := met.Get(obs.CtrBaselineCacheHits); n < 1 {
-		t.Fatalf("second pinhole analysis recomputed the nominal reference (%d hits)", n)
+	if n := met.Get(obs.CtrBaselineCacheHits); n != 1 {
+		t.Fatalf("second pinhole analysis: %d baseline hits, want 1", n)
 	}
 	if !reflect.DeepEqual(want, first) || !reflect.DeepEqual(want, second) {
 		t.Fatalf("cached-reference responses diverge:\nwant   %+v\nfirst  %+v\nsecond %+v",

@@ -1,7 +1,7 @@
 // Package memo is the pipeline's one memoisation mechanism: a keyed,
 // single-flight cache of deterministic computations. The good-space
 // compile, the class discovery, the nominal macro responses and the
-// comparator's design offset all go through it, so they share one set
+// macros' own fault-free memos all go through it, so they share one set
 // of concurrency rules instead of one hand-rolled variant each.
 package memo
 

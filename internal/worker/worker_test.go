@@ -37,8 +37,8 @@ var (
 func referenceResult(t *testing.T) []byte {
 	t.Helper()
 	refOnce.Do(func() {
-		run, _, err := core.RunParallel(context.Background(),
-			testSpec.Config(), false, campaign.Options{Workers: 4})
+		run, _, err := core.NewPipeline(testSpec.Config()).RunParallel(context.Background(),
+			false, campaign.Options{Workers: 4})
 		if err != nil {
 			refErr = err
 			return

@@ -29,17 +29,21 @@
 #                        kernel cases) fails, so machine noise passes but
 #                        a reverted kernel optimisation does not
 #   8. vehicle smoke   — a quick 6-bit campaign runs the full
-#                        sprinkle→collapse→inject→classify→detect flow
-#                        (runs under SHORT=1 too: it is the only stage
-#                        covering a non-default vehicle end-to-end)
+#                        sprinkle→collapse→inject→classify→detect flow,
+#                        pre and post DfT, and its -json output and .dft
+#                        companion must match their pinned sha256
+#                        digests (runs under SHORT=1 too: it is the only
+#                        stage covering a non-default vehicle end-to-end)
 #   8b. checkpoint smoke — (runs under SHORT=1 too) the same 6-bit run on
 #                        the campaign engine with -checkpoint, then again
 #                        with -resume; both JSON outputs must equal the
 #                        serial run's byte for byte
-#   9. campaignd smoke — (skipped with SHORT=1) start the job server,
+#   9. campaignd smoke — (skipped with SHORT=1) pin the sha256 digests
+#                        of the 8-bit `dotest -quick` output, pre and post
+#                        DfT, then start the job server,
 #                        submit a -quick job over HTTP, stream it to
 #                        completion, verify the result bytes are
-#                        identical to a direct `dotest -quick` run, and
+#                        identical to the direct `dotest -quick` run, and
 #                        shut the daemon down with SIGTERM (exit 130)
 #  10. campaignw smoke  — (skipped with SHORT=1) attach two campaignw
 #                        remote workers to the same daemon, run a second
@@ -126,13 +130,27 @@ tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 go build -o "$tmp/dotest" ./cmd/dotest
 
+# Golden pins (ROADMAP item 2): the sha256 of a quick run's -json output
+# and of its .dft companion. Changing a pinned digest is a deliberate
+# re-baseline under ROADMAP item 3's rules, recorded in CHANGES.md with
+# its reason.
+check_digest() {
+	got=$(sha256sum "$1" | cut -d' ' -f1)
+	if [ "$got" != "$2" ]; then
+		echo "golden: sha256 of $3 is $got, pinned $2" >&2
+		exit 1
+	fi
+}
+
 # Vehicle smoke: the non-default 6-bit vehicle must complete the whole
 # methodology (layout → sprinkle → collapse → inject → classify →
-# detect). Quick config (25 classes per macro), pre-DfT only — this is
-# a does-it-run gate, not a coverage measurement. Kept under SHORT=1:
-# no other stage exercises a non-default vehicle end-to-end.
-"$tmp/dotest" -quick -bits 6 -dft pre -json "$tmp/serial.json" >/dev/null
-echo "tier1: 6-bit vehicle smoke passed"
+# detect), pre and post DfT, at the quick config (25 classes per
+# macro), and its output is pinned. Kept under SHORT=1: no other stage
+# exercises a non-default vehicle end-to-end.
+"$tmp/dotest" -quick -bits 6 -dft both -json "$tmp/serial.json" >/dev/null
+check_digest "$tmp/serial.json" dd5232584dd2d9d7691a60d3cfb3e9c808a18e76a11bbdfed0637ab40086884b "6-bit quick pre-DfT"
+check_digest "$tmp/serial.json.dft" 3df792cc6a6a44bcb6fdcdf1e9a6366fe2826efdbb32269f3cf3b1608550f02c "6-bit quick post-DfT"
+echo "tier1: 6-bit vehicle smoke passed (golden digests hold)"
 
 # Checkpoint smoke: the campaign engine's checkpoint/resume path end to
 # end. The second run restores every unit from the first run's
@@ -151,7 +169,10 @@ if [ -z "${SHORT:-}" ]; then
 	go build -o "$tmp/campaignd" ./cmd/campaignd
 	go build -o "$tmp/campaignctl" ./cmd/campaignctl
 
-	"$tmp/dotest" -quick -dft pre -workers 0 -json "$tmp/ref.json" >/dev/null
+	"$tmp/dotest" -quick -dft both -workers 0 -json "$tmp/ref.json" >/dev/null
+	check_digest "$tmp/ref.json" 2255c074fb06aa8cf2ed831c87a4d28612d409e9f2191e56dee5047c04ba1f09 "8-bit quick pre-DfT"
+	check_digest "$tmp/ref.json.dft" c668fb6a3192d1f7ce9d0819ec1c13a0f70a9c5a9ee0e7c95d916e66146bb28a "8-bit quick post-DfT"
+	echo "tier1: 8-bit quick golden digests hold"
 
 	"$tmp/campaignd" -addr 127.0.0.1:0 -addrfile "$tmp/addr" -store "$tmp/ckpts" &
 	dpid=$!
