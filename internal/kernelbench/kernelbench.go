@@ -11,6 +11,8 @@
 //     the engine reused across iterations (the campaign's steady state)
 //   - analyzeclass: one full fault-class analysis unit of the pipeline,
 //     the quantum of work the parallel campaign schedules
+//   - classify: one comparator class through the offset bisection, the
+//     campaign's dominant cost
 //   - goodspace: the die-sharded good-signature-space Monte Carlo
 //     compile, the pipeline's front-end prelude
 package kernelbench
@@ -27,6 +29,7 @@ import (
 	"repro/internal/macros"
 	"repro/internal/netlist"
 	"repro/internal/obs"
+	"repro/internal/signature"
 	"repro/internal/solver"
 	"repro/internal/spice"
 )
@@ -189,6 +192,43 @@ func Cases() []Case {
 				if _, err := m.Respond(context.Background(), nil, opt); err != nil {
 					b.Fatal(err)
 				}
+			}
+		}},
+		{Name: "classify/comparator-offset", Bench: func(b *testing.B) {
+			// One whole comparator class that reaches the offset
+			// bisection: the o1 clamp open unbalances the pair into an
+			// offset, so each op runs the lo/hi transients and all 11
+			// decision probes. The pool is warm and the design offset
+			// settled by the first analysis, so the timed ops are the
+			// class's own work. Faulty engines are never pooled: the
+			// guard pins exactly one circuit build per op (a second
+			// build would mean the probes or the design offset left the
+			// class's engine) and that the class still lands in the
+			// offset signature.
+			m := macros.NewComparator(macros.DefaultVehicle())
+			met := &obs.Metrics{}
+			opt := macros.RespondOpts{Var: macros.Nominal(), Pool: macros.NewEnginePool(), Metrics: met}
+			f := &faults.Fault{Kind: faults.Open, Nets: []string{"o1"},
+				FarTerminals: []faults.Terminal{{Device: "m3d", Net: "o1"}}}
+			respond := func() {
+				resp, err := m.Respond(context.Background(), f, opt)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if resp.Voltage != signature.VSigOffset {
+					b.Fatalf("signature %v: the open no longer reaches the bisection", resp.Voltage)
+				}
+			}
+			respond()
+			warm := met.Get(obs.CtrFullRebuilds)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				respond()
+			}
+			b.StopTimer()
+			if n := met.Get(obs.CtrFullRebuilds) - warm; n != int64(b.N) {
+				b.Fatalf("full_rebuilds = %d over %d timed ops, want one per op", n, b.N)
 			}
 		}},
 		{Name: "goodspace/quick-12-dies", Bench: func(b *testing.B) {

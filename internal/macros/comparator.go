@@ -71,11 +71,7 @@ func (m *ComparatorMacro) nominalOffset(ctx context.Context, dft bool, pool *Eng
 	off, _, err := m.designOffset.Get(ctx, dft, func() (float64, error) {
 		ses := m.newSession(nil, RespondOpts{Var: Nominal(), DfT: dft, Pool: pool}, 0)
 		defer ses.close()
-		off, ok, err := m.bisectOffset(ctx, ses)
-		if !ok {
-			off = 0
-		}
-		return off, err
+		return m.bisectOffset(ctx, ses)
 	})
 	return off, err
 }
@@ -321,20 +317,51 @@ func (s *cmpSession) close() {
 	s.eng, s.release = nil, nil
 }
 
-// tranRun holds the distilled observations of one transient.
-type tranRun struct {
+// probe is what a bisection step reads off a transient: the decision at
+// tRead, or a convergence failure.
+type probe struct {
 	decision int // 0, 1, or -1 (invalid level)
 	outV     float64
+	failed   bool
+	until    float64 // time of the last stored point: how far it simulated
+}
+
+// tranRun holds the distilled observations of one full transient.
+type tranRun struct {
+	probe
 	// currents per phase: index by phaseNames order.
 	ivdd, ibias, iddq [3]float64
 	iinVin, iinVref   float64
 	clockDeviant      bool
-	failed            bool
 }
 
-// run simulates one full three-phase conversion at the given input on
-// the session's engine.
-func (s *cmpSession) run(ctx context.Context, vin float64) (*tranRun, error) {
+// decideSchedule is tranSchedule cut one nominal step past tRead: a
+// bisection probe reads only the decision, so it never simulates the
+// second cycle that feeds the current windows.
+var decideSchedule = cutSchedule(tranSchedule, tRead)
+
+// cutSchedule returns the segments of segs up to the one holding t, that
+// one ending one nominal step past t. The transient is fixed-step and
+// causal, so every point the cut schedule stores up to t is bit for bit
+// the full schedule's: the step crossing t starts at or before t, and
+// since float rounding is monotone it lands at or before t + Dt, so the
+// cut never clips it.
+func cutSchedule(segs []spice.TranSeg, t float64) []spice.TranSeg {
+	for i, seg := range segs {
+		if seg.Until > t {
+			cut := append([]spice.TranSeg(nil), segs[:i+1]...)
+			cut[i].Until = t + seg.Dt
+			return cut
+		}
+	}
+	return segs
+}
+
+// transient retunes the session's engine to the given input (checking
+// it out on first use) and integrates segs. A convergence failure is
+// reported as a nil Tran with a nil error; only a cancellation or an
+// injection failure is an error.
+func (s *cmpSession) transient(ctx context.Context, vin float64, segs []spice.TranSeg) (*spice.Tran, error) {
 	m, opt := s.m, s.opt
 	sp := opt.span(obs.StageInject, m.Name())
 	if s.eng == nil {
@@ -351,15 +378,54 @@ func (s *cmpSession) run(ctx context.Context, vin float64) (*tranRun, error) {
 	}
 	sp.End()
 	sp = opt.span(obs.StageFaultSim, m.Name())
-	tr, err := s.eng.TransientSchedule(ctx, tranSchedule)
+	tr, err := s.eng.TransientSchedule(ctx, segs)
 	sp.End()
-	if err != nil {
-		if spice.IsCancelled(err) {
-			return nil, err
-		}
-		return &tranRun{failed: true}, nil
+	if err != nil && !spice.IsCancelled(err) {
+		return nil, nil
 	}
-	run := &tranRun{}
+	return tr, err
+}
+
+// readDecision reads the latched decision at the end of the first latch
+// phase.
+func (s *cmpSession) readDecision(tr *spice.Tran) probe {
+	p := probe{outV: tr.AtTime(tRead).V("out"), until: tr.Times[tr.Len()-1]}
+	vdd := VDD * s.opt.Var.VddScale
+	switch {
+	case p.outV > 0.8*vdd:
+		p.decision = 1
+	case p.outV < 0.2*vdd:
+		p.decision = 0
+	default:
+		p.decision = -1
+	}
+	return p
+}
+
+// decide simulates one conversion at the given input only as far as its
+// decision read-out.
+func (s *cmpSession) decide(ctx context.Context, vin float64) (probe, error) {
+	tr, err := s.transient(ctx, vin, decideSchedule)
+	switch {
+	case err != nil:
+		return probe{}, err
+	case tr == nil:
+		return probe{failed: true}, nil
+	}
+	return s.readDecision(tr), nil
+}
+
+// run simulates one full three-phase conversion at the given input on
+// the session's engine.
+func (s *cmpSession) run(ctx context.Context, vin float64) (*tranRun, error) {
+	tr, err := s.transient(ctx, vin, tranSchedule)
+	switch {
+	case err != nil:
+		return nil, err
+	case tr == nil:
+		return &tranRun{probe: probe{failed: true}}, nil
+	}
+	run := &tranRun{probe: s.readDecision(tr)}
 	iA := tr.I("vdda")
 	iB := tr.I("vddb")
 	iD := tr.I("vddd")
@@ -379,20 +445,9 @@ func (s *cmpSession) run(ctx context.Context, vin float64) (*tranRun, error) {
 			run.iinVref = a
 		}
 	}
-	// Decision at the end of the latch phase.
-	sol := tr.AtTime(tRead)
-	run.outV = sol.V("out")
-	vdd := VDD * opt.Var.VddScale
-	switch {
-	case run.outV > 0.8*vdd:
-		run.decision = 1
-	case run.outV < 0.2*vdd:
-		run.decision = 0
-	default:
-		run.decision = -1
-	}
 	// Clock-value signature: each clock's settled level during its own
 	// high phase and during another phase must match the rails.
+	vdd := VDD * s.opt.Var.VddScale
 	clkHigh := [3][2]float64{sampWin, ampWin, latchWin}
 	clkLowProbe := [3][2]float64{ampWin, latchWin, sampWin}
 	for i := 0; i < 3; i++ {
@@ -493,37 +548,27 @@ func (m *ComparatorMacro) respondVariant(ctx context.Context, f *faults.Fault, o
 	default:
 		// Proper polarity: locate the trip point by bisection and
 		// compare to the design's systematic offset.
-		off, ok, err := m.bisectOffset(ctx, ses)
+		off, err := m.bisectOffset(ctx, ses)
 		if err != nil {
 			csp.End()
 			return nil, err
 		}
+		nomOff, err := m.nominalOffset(ctx, opt.DfT, opt.Pool)
+		if err != nil {
+			csp.End()
+			return nil, err
+		}
+		resp.OffsetV = off - nomOff
 		switch {
-		case !ok:
-			resp.Voltage = signature.VSigMixed
+		case math.Abs(resp.OffsetV) > m.Veh.OffsetLimit():
+			resp.Voltage = signature.VSigOffset
+		case clockDeviant:
+			resp.Voltage = signature.VSigClock
 		default:
-			nomOff, err := m.nominalOffset(ctx, opt.DfT, opt.Pool)
-			if err != nil {
-				csp.End()
-				return nil, err
-			}
-			resp.OffsetV = off - nomOff
-			switch {
-			case math.Abs(resp.OffsetV) > m.Veh.OffsetLimit():
-				resp.Voltage = signature.VSigOffset
-			case clockDeviant:
-				resp.Voltage = signature.VSigClock
-			default:
-				resp.Voltage = signature.VSigNone
-			}
+			resp.Voltage = signature.VSigNone
 		}
 	}
 	csp.End()
-	if resp.Voltage == signature.VSigStuck && clockDeviant {
-		// Keep the stronger stuck classification; clock deviation is
-		// still reflected in the IDDQ measurements.
-		_ = clockDeviant
-	}
 	resp.MissingCode = propagateSlice(m.Veh, resp)
 	return resp, nil
 }
@@ -557,24 +602,26 @@ func propagateSlice(veh Vehicle, resp *signature.Response) bool {
 
 // bisectOffset locates the comparator trip point (input-referred offset
 // relative to VRef). Assumes decision(vinLow)=0 and decision(vinHigh)=1.
-// The error is non-nil only when the bisection was aborted (cancellation
-// or an injection failure), so a half-finished bisection is never
+// Each probe simulates only up to the decision read-out (decide). The
+// error is non-nil only when the bisection was aborted (cancellation or
+// an injection failure), so a half-finished bisection is never
 // classified as a signature.
-func (m *ComparatorMacro) bisectOffset(ctx context.Context, ses *cmpSession) (float64, bool, error) {
+func (m *ComparatorMacro) bisectOffset(ctx context.Context, ses *cmpSession) (float64, error) {
 	lo, hi := vinLow, vinHigh
 	for i := 0; i < 11; i++ {
 		mid := (lo + hi) / 2
-		run, err := ses.run(ctx, mid)
+		p, err := ses.decide(ctx, mid)
 		if err != nil {
-			return 0, false, err
+			return 0, err
 		}
-		if run.failed {
+		if p.failed {
 			// The extremes simulated fine, so a Newton breakdown at
-			// mid means the latch is balanced on the metastable
+			// mid (up to the read-out; the probe simulates no
+			// further) means the latch is balanced on the metastable
 			// saddle: mid is the trip point.
-			return mid - m.VRef, true, nil
+			return mid - m.VRef, nil
 		}
-		switch run.decision {
+		switch p.decision {
 		case 1:
 			hi = mid
 		case 0:
@@ -582,8 +629,8 @@ func (m *ComparatorMacro) bisectOffset(ctx context.Context, ses *cmpSession) (fl
 		default:
 			// A mid-level output means the latch went metastable:
 			// we are within a hair of the trip point.
-			return mid - m.VRef, true, nil
+			return mid - m.VRef, nil
 		}
 	}
-	return (lo+hi)/2 - m.VRef, true, nil
+	return (lo+hi)/2 - m.VRef, nil
 }

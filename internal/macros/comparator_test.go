@@ -46,6 +46,52 @@ func TestComparatorFaultFreeDecisions(t *testing.T) {
 	}
 }
 
+// TestDecideMatchesRun pins the bisection probe's prefix identity: a
+// decision probe simulates only one nominal step past tRead, yet reads
+// exactly the full two-cycle run's decision at every probe of the
+// bisection — for the fault-free comparator and for the o1 clamp open
+// that lands in the offset class.
+func TestDecideMatchesRun(t *testing.T) {
+	m := NewComparator(DefaultVehicle())
+	ctx := context.Background()
+	open := &faults.Fault{Kind: faults.Open, Nets: []string{"o1"},
+		FarTerminals: []faults.Terminal{{Device: "m3d", Net: "o1"}}}
+	for _, f := range []*faults.Fault{nil, open} {
+		ses := m.newSession(f, RespondOpts{Var: Nominal()}, faults.GOSToSource)
+		lo, hi := vinLow, vinHigh
+		for i := 0; i < 11; i++ {
+			mid := (lo + hi) / 2
+			p, err := ses.decide(ctx, mid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			full, err := ses.run(ctx, mid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.failed || full.failed {
+				t.Fatalf("%v probe %d at %.6f V: failed (probe %v, full %v)", f, i, mid, p.failed, full.failed)
+			}
+			if p.decision != full.decision || math.Float64bits(p.outV) != math.Float64bits(full.outV) {
+				t.Fatalf("%v probe %d at %.6f V: decide (%d, %v) != run (%d, %v)",
+					f, i, mid, p.decision, p.outV, full.decision, full.outV)
+			}
+			if p.until > tRead+TStep {
+				t.Fatalf("%v probe %d simulated to %g s, past tRead+TStep = %g s", f, i, p.until, tRead+TStep)
+			}
+			if full.until < tEnd-TStep {
+				t.Fatalf("%v full run %d stopped at %g s, before tEnd = %g s", f, i, full.until, tEnd)
+			}
+			if p.decision == 1 {
+				hi = mid
+			} else {
+				lo = mid
+			}
+		}
+		ses.close()
+	}
+}
+
 func TestComparatorSmallInputResolved(t *testing.T) {
 	m := NewComparator(DefaultVehicle())
 	opt := RespondOpts{Var: Nominal()}

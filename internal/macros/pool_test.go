@@ -118,7 +118,8 @@ func TestFaultyRespondBuildsOnce(t *testing.T) {
 	}
 	met := &obs.Metrics{}
 	// Splitting the o1 clamp off its node unbalances the pair into an
-	// offset, so the analysis runs the full 13-transient bisection.
+	// offset, so the analysis runs the lo/hi transients and all 11
+	// bisection probes.
 	open := &faults.Fault{Kind: faults.Open, Nets: []string{"o1"},
 		FarTerminals: []faults.Terminal{{Device: "m3d", Net: "o1"}}}
 	resp, err := m.Respond(ctx, open, RespondOpts{Var: Nominal(), Pool: pool, Metrics: met})

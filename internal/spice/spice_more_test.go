@@ -42,6 +42,73 @@ func TestTransientScheduleSegments(t *testing.T) {
 	}
 }
 
+// TestTransientSchedulePrefix pins the prefix identity a truncated
+// transient relies on: the fixed-step integration is causal, so a
+// schedule cut one nominal step past t* stores bit for bit the full
+// schedule's points up to t*. One cut lands inside a coarse segment, the
+// other right after a fine one.
+func TestTransientSchedulePrefix(t *testing.T) {
+	b := netlist.NewBuilder()
+	b.Vsrc("vdd", "vdd", "0", netlist.DC(5))
+	b.Vsrc("vin", "in", "0", netlist.PWL{T: []float64{0, 0.4e-3, 0.6e-3, 3e-3}, V: []float64{0, 0, 5, 5}})
+	b.R("r1", "in", "g", 1000)
+	b.Cap("c1", "g", "0", 0.2e-6)
+	b.PMOS("p1", "out", "g", "vdd", "vdd", 8, 1)
+	b.NMOS("n1", "out", "g", "0", 4, 1)
+	b.Cap("c2", "out", "0", 1e-9)
+	full := []TranSeg{
+		{Until: 0.5e-3, Dt: 50e-6},
+		{Until: 1.0e-3, Dt: 5e-6}, // fine mid-window
+		{Until: 3.0e-3, Dt: 50e-6},
+	}
+	e := New(b.C, DefaultOptions())
+	ref, err := e.TransientSchedule(context.Background(), full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The Tran aliases engine storage the next run reuses: copy it out.
+	times := append([]float64(nil), ref.Times...)
+	xs := make([][]float64, ref.Len())
+	for i, x := range ref.Xs {
+		xs[i] = append([]float64(nil), x...)
+	}
+
+	for _, tc := range []struct {
+		name  string
+		tStar float64
+		cut   []TranSeg
+	}{
+		{"inside coarse", 2.02e-3, []TranSeg{full[0], full[1], {Until: 2.02e-3 + 50e-6, Dt: 50e-6}}},
+		{"after fine", 1.0e-3, []TranSeg{full[0], full[1], {Until: 1.0e-3 + 50e-6, Dt: 50e-6}}},
+	} {
+		tr, err := e.TransientSchedule(context.Background(), tc.cut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if last := tr.Times[tr.Len()-1]; last > tc.tStar+50e-6 || last >= times[len(times)-1] {
+			t.Fatalf("%s: cut run ends at %g, want <= %g", tc.name, last, tc.tStar+50e-6)
+		}
+		n := 0
+		for i, tt := range times {
+			if tt > tc.tStar {
+				break
+			}
+			n++
+			if i >= tr.Len() || math.Float64bits(tr.Times[i]) != math.Float64bits(tt) {
+				t.Fatalf("%s: point %d time differs from the full run's %g", tc.name, i, tt)
+			}
+			for k, v := range xs[i] {
+				if math.Float64bits(tr.Xs[i][k]) != math.Float64bits(v) {
+					t.Fatalf("%s: point %d (t=%g) unknown %d: %v, full run %v", tc.name, i, tt, k, tr.Xs[i][k], v)
+				}
+			}
+		}
+		if n < 2 || tr.Len() <= n || tr.Times[n] <= tc.tStar {
+			t.Fatalf("%s: cut run stores %d points, %d up to t*", tc.name, tr.Len(), n)
+		}
+	}
+}
+
 func TestOPAtTimeDependentSource(t *testing.T) {
 	b := netlist.NewBuilder()
 	b.Vsrc("v1", "a", "0", netlist.PWL{T: []float64{0, 1}, V: []float64{0, 10}})

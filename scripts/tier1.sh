@@ -13,7 +13,12 @@
 #                        vehicle spec, and no direct netlist.NewBuilder
 #                        in internal/core (engines must come through
 #                        the pool/rebind seam)
-#   3. go build / vet  — compile + static checks, whole tree
+#   3. go build / vet  — compile + static checks, whole tree, plus vet
+#                        and the -short self-test of the perfbench/
+#                        end-to-end benchmark (its own Go module, so
+#                        `./...` never reaches it; an API change in the
+#                        packages it drives would otherwise break the
+#                        benchmark unnoticed)
 #   4. staticcheck     — when the binary is on PATH (skipped with a notice
 #                        otherwise; the container does not ship it)
 #   5. go test (+race) — unit + integration tests, plus a -shuffle=on
@@ -114,6 +119,7 @@ short=${SHORT:+-short}
 
 go build ./...
 go vet ./...
+(cd perfbench && go vet . && go test -short -count=1 .)
 
 if command -v staticcheck >/dev/null 2>&1; then
 	staticcheck ./...
