@@ -8,7 +8,6 @@ package digital
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -80,60 +79,33 @@ type Fault struct {
 }
 
 // Circuit is a feed-forward gate network. Once built, a Circuit is safe
-// for concurrent Eval calls: the lazily computed topological order and
-// compiled index program are mutex-guarded (the decoder macro shares
-// one Circuit across parallel fault-class analyses).
+// for concurrent Eval calls: the lazily compiled index program, gates in
+// topological order, is mutex-guarded (the decoder macro shares one
+// Circuit across parallel fault-class analyses).
 type Circuit struct {
 	Inputs  []string
 	Outputs []string
 	Gates   []*Gate
 
-	mu      sync.Mutex
-	ordered []*Gate
-	prog    *program
+	mu   sync.Mutex
+	prog *program
 }
 
 // AddGate appends a gate.
 func (c *Circuit) AddGate(name string, t GateType, out string, in ...string) {
 	c.Gates = append(c.Gates, &Gate{Name: name, Type: t, Out: out, In: in})
 	c.mu.Lock()
-	c.ordered = nil
 	c.prog = nil
 	c.mu.Unlock()
-}
-
-// Nets returns the sorted names of all nets (inputs and gate outputs).
-func (c *Circuit) Nets() []string {
-	set := map[string]bool{}
-	for _, in := range c.Inputs {
-		set[in] = true
-	}
-	for _, g := range c.Gates {
-		set[g.Out] = true
-		for _, in := range g.In {
-			set[in] = true
-		}
-	}
-	out := make([]string, 0, len(set))
-	for n := range set {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // topo orders gates so that every gate follows its drivers and returns
 // the order. Returns an error on combinational loops (which cannot occur
 // in a well-formed decoder but can be created by severe faults
 // elsewhere).
-func (c *Circuit) topo() ([]*Gate, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.ordered != nil {
-		return c.ordered, nil
-	}
+func topo(gates []*Gate) ([]*Gate, error) {
 	driver := map[string]*Gate{}
-	for _, g := range c.Gates {
+	for _, g := range gates {
 		driver[g.Out] = g
 	}
 	state := map[*Gate]int{} // 0 unseen, 1 visiting, 2 done
@@ -158,12 +130,11 @@ func (c *Circuit) topo() ([]*Gate, error) {
 		order = append(order, g)
 		return nil
 	}
-	for _, g := range c.Gates {
+	for _, g := range gates {
 		if err := visit(g); err != nil {
 			return nil, err
 		}
 	}
-	c.ordered = order
 	return order, nil
 }
 
@@ -185,16 +156,16 @@ type pgate struct {
 }
 
 // compiled returns the circuit's index program, building it on first
-// use (invalidated by AddGate, like the topological order).
+// use (invalidated by AddGate).
 func (c *Circuit) compiled() (*program, error) {
-	ordered, err := c.topo()
-	if err != nil {
-		return nil, err
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.prog != nil {
 		return c.prog, nil
+	}
+	ordered, err := topo(c.Gates)
+	if err != nil {
+		return nil, err
 	}
 	p := &program{index: map[string]int{}}
 	slot := func(name string) int32 {
@@ -236,10 +207,14 @@ func (c *Circuit) NetIndex(name string) (int, bool) {
 }
 
 // Scratch is reusable single-goroutine evaluation state for EvalInto.
-// Reset it, set the input slots, evaluate, read output slots — no
-// allocation after construction.
+// Each slot holds one uint64 word: bit l is the net's value in lane l,
+// so one evaluation runs 64 input patterns at once. Reset it, set the
+// input slots, evaluate, read output slots — no allocation after
+// construction.
 type Scratch struct {
-	val []bool
+	val []uint64
+	// def is one flag per slot, not per lane: every event that defines
+	// a gate output (its evaluation, a stuck-at) hits all lanes alike.
 	def []bool
 }
 
@@ -249,128 +224,137 @@ func (c *Circuit) NewScratch() (*Scratch, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Scratch{val: make([]bool, len(p.nets)), def: make([]bool, len(p.nets))}, nil
+	return &Scratch{val: make([]uint64, len(p.nets)), def: make([]bool, len(p.nets))}, nil
 }
 
 // Reset clears every slot to undefined/false.
 func (s *Scratch) Reset() {
-	for i := range s.val {
-		s.val[i] = false
-		s.def[i] = false
-	}
+	clear(s.val)
+	clear(s.def)
 }
 
-// Set assigns slot idx (use before EvalInto for input nets).
-func (s *Scratch) Set(idx int, v bool) {
-	s.val[idx] = v
+// Set assigns slot idx one value per lane (use before EvalInto for
+// input nets).
+func (s *Scratch) Set(idx int, lanes uint64) {
+	s.val[idx] = lanes
 	s.def[idx] = true
 }
 
-// Val reads slot idx after EvalInto.
-func (s *Scratch) Val(idx int) bool { return s.val[idx] }
+// Val reads slot idx's lanes after EvalInto.
+func (s *Scratch) Val(idx int) uint64 { return s.val[idx] }
 
-func (p *pgate) eval(val []bool) bool {
+func (p *pgate) eval(val []uint64) uint64 {
 	switch p.typ {
 	case Buf:
 		return val[p.in[0]]
 	case Not:
-		return !val[p.in[0]]
+		return ^val[p.in[0]]
 	case And, Nand:
-		out := true
+		out := ^uint64(0)
 		for _, in := range p.in {
-			out = out && val[in]
+			out &= val[in]
 		}
 		if p.typ == Nand {
-			return !out
+			return ^out
 		}
 		return out
 	case Or, Nor:
-		out := false
+		out := uint64(0)
 		for _, in := range p.in {
-			out = out || val[in]
+			out |= val[in]
 		}
 		if p.typ == Nor {
-			return !out
+			return ^out
 		}
 		return out
 	case Xor:
-		out := false
+		out := uint64(0)
 		for _, in := range p.in {
-			out = out != val[in]
+			out ^= val[in]
 		}
 		return out
 	}
-	return false
+	return 0
 }
 
-// EvalInto evaluates the circuit over the scratch's slots under fault f:
-// the allocation-free core of Eval. Input slots must be Set by the
-// caller (an unset input reads false, as Eval's missing map key does);
-// gate outputs land in the scratch for Val. The returned flags mirror
-// Result.IDDQ and Result.Unstable. Fault nets absent from the circuit
-// read false and absorb writes, matching the map semantics for every
-// observable output.
-func (c *Circuit) EvalInto(s *Scratch, f Fault) (iddq, unstable bool, err error) {
+// EvalInto evaluates the circuit over the scratch's slots under fault f,
+// all 64 lanes at once: the allocation-free core of Eval. Input slots
+// must be Set by the caller (an unset input reads false, as Eval's
+// missing map key does); gate outputs land in the scratch for Val. The
+// returned masks hold Result.IDDQ and Result.Unstable per lane. Fault
+// nets absent from the circuit read false and absorb writes, matching
+// the map semantics for every observable output.
+//
+// Every lane ends exactly where a one-pattern evaluation would stop: a
+// lane that settles in a pass changes nothing and raises no conflict in
+// the passes other lanes still need.
+func (c *Circuit) EvalInto(s *Scratch, f Fault) (iddq, unstable uint64, err error) {
 	p, err := c.compiled()
 	if err != nil {
-		return false, false, err
+		return 0, 0, err
 	}
-	slot := func(name string) int {
-		if i, ok := p.index[name]; ok {
-			return i
+	read := func(idx int) uint64 {
+		if idx < 0 {
+			return 0
 		}
-		return -1
+		return s.val[idx]
 	}
-	read := func(idx int) bool { return idx >= 0 && s.val[idx] }
-	write := func(idx int, v bool) {
+	write := func(idx int, v uint64) {
 		if idx >= 0 {
 			s.val[idx] = v
 			s.def[idx] = true
 		}
 	}
 	fNet, fNet2 := -1, -1
-	if f.Kind != FaultNone {
-		fNet = slot(f.Net)
-		if f.Kind == Bridge {
-			fNet2 = slot(f.Net2)
-		}
+	if i, ok := p.index[f.Net]; ok && f.Kind != FaultNone {
+		fNet = i
+	}
+	if i, ok := p.index[f.Net2]; ok && f.Kind == Bridge {
+		fNet2 = i
+	}
+	var stuck uint64
+	if f.Val {
+		stuck = ^uint64(0)
 	}
 	if f.IDDQOnly {
-		iddq = true
+		iddq = ^uint64(0)
 	}
 	if f.Kind == StuckAt {
-		write(fNet, f.Val)
+		write(fNet, stuck)
 	}
 	const maxPasses = 4
 	for pass := 0; pass < maxPasses; pass++ {
-		changed := false
+		var changed uint64
 		for gi := range p.gates {
 			g := &p.gates[gi]
 			nv := g.eval(s.val)
 			if f.Kind == StuckAt && g.out == int32(fNet) {
-				nv = f.Val
+				nv = stuck
 			}
-			if !s.def[g.out] || s.val[g.out] != nv {
-				s.val[g.out] = nv
+			if !s.def[g.out] {
 				s.def[g.out] = true
-				changed = true
+				changed = ^uint64(0)
+			} else {
+				changed |= s.val[g.out] ^ nv
 			}
+			s.val[g.out] = nv
 		}
 		if f.Kind == Bridge {
 			a, b := read(fNet), read(fNet2)
-			if a != b {
-				iddq = true
+			if conflict := a ^ b; conflict != 0 {
+				iddq |= conflict
 				// Wired-AND resolution.
-				write(fNet, a && b)
-				write(fNet2, a && b)
-				changed = true
+				write(fNet, a&b)
+				write(fNet2, a&b)
+				changed |= conflict
 			}
 		}
-		if !changed {
-			return iddq, false, nil
+		if changed == 0 {
+			return iddq, 0, nil
 		}
+		unstable = changed
 	}
-	return iddq, true, nil
+	return iddq, unstable, nil
 }
 
 // Result of one faulty evaluation.
@@ -388,8 +372,9 @@ type Result struct {
 // Eval computes the circuit response to the given input assignment under
 // fault f (pass Fault{} for fault-free). Bridges are wired-AND and
 // evaluated to a fixpoint. Eval is the map-shaped convenience wrapper
-// over EvalInto; hot paths (the decoder's per-level sweep) hold a
-// Scratch and call EvalInto directly.
+// over EvalInto: it drives its one pattern into every lane and reads
+// lane 0. Hot paths (the decoder's level sweep) hold a Scratch and call
+// EvalInto directly, 64 patterns per call.
 func (c *Circuit) Eval(in map[string]bool, f Fault) (*Result, error) {
 	s, err := c.NewScratch()
 	if err != nil {
@@ -397,16 +382,20 @@ func (c *Circuit) Eval(in map[string]bool, f Fault) (*Result, error) {
 	}
 	p, _ := c.compiled()
 	for _, idx := range p.in {
-		s.Set(idx, in[p.nets[idx]])
+		var lanes uint64
+		if in[p.nets[idx]] {
+			lanes = ^uint64(0)
+		}
+		s.Set(idx, lanes)
 	}
 	iddq, unstable, err := c.EvalInto(s, f)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Values: map[string]bool{}, IDDQ: iddq, Unstable: unstable}
+	res := &Result{Values: map[string]bool{}, IDDQ: iddq&1 != 0, Unstable: unstable&1 != 0}
 	for idx, def := range s.def {
 		if def {
-			res.Values[p.nets[idx]] = s.val[idx]
+			res.Values[p.nets[idx]] = s.val[idx]&1 != 0
 		}
 	}
 	// A stuck-at on a net the circuit does not contain still lands in

@@ -122,6 +122,25 @@ func ladderBridge() faults.Class {
 	}
 }
 
+// analyzeCase times one class analysis of the named macro on the warm
+// shared pipeline and returns the last op's result.
+func analyzeCase(b *testing.B, macro string, c faults.Class) *core.ClassAnalysis {
+	p, err := analyzeSetup()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var a *core.ClassAnalysis
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if a, err = p.AnalyzeClass(context.Background(), macro, c, false, false); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	return a
+}
+
 // sumCounter folds one counter across every stage of an aggregator
 // snapshot (checkout counters land in the inject stage, the goodspace
 // cases' per-die counters in the goodspace stages).
@@ -384,17 +403,15 @@ func Cases() []Case {
 			}
 		}},
 		{Name: "analyzeclass/ladder-bridge", Bench: func(b *testing.B) {
-			p, err := analyzeSetup()
-			if err != nil {
-				b.Fatal(err)
-			}
-			c := ladderBridge()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := p.AnalyzeClass(context.Background(), "ladder", c, false, false); err != nil {
-					b.Fatal(err)
-				}
+			analyzeCase(b, "ladder", ladderBridge())
+		}},
+		// Adjacent one-hot lines shorted: a bridge that fights at some
+		// thermometer levels, so every op runs the decoder's whole
+		// level sweep and must flag IDDQ.
+		{Name: "analyzeclass/decoder-bridge", Bench: func(b *testing.B) {
+			c := faults.Class{Fault: faults.Fault{Kind: faults.Short, Nets: []string{"h100", "h101"}, Res: 0.2}, Count: 1}
+			if a := analyzeCase(b, "decoder", c); a.Resp.Currents["iddq.dc"] == 0 {
+				b.Fatal("decoder bridge must flag IDDQ")
 			}
 		}},
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"sync"
 
@@ -32,7 +33,7 @@ type DecoderMacro struct {
 	ckt *digital.Circuit
 	// tIdx/bIdx are the compiled net slots of the thermometer inputs
 	// (tIdx[i-1] ↔ t net i) and output bits — resolved once so the
-	// per-level decode sweep runs name-free over a reused scratch.
+	// level sweep runs name-free over a reused scratch.
 	tIdx    []int
 	bIdx    []int
 	scratch sync.Pool
@@ -43,23 +44,21 @@ func tnet(i int) string { return fmt.Sprintf("t%03d", i) }
 
 // NewDecoder builds the decoder macro of the given vehicle (the gate
 // network is constructed once and shared, index-compiled for the
-// decode sweep).
+// level sweep).
 func NewDecoder(veh Vehicle) *DecoderMacro {
 	m := &DecoderMacro{Veh: veh, ckt: buildDecoderCircuit(veh)}
-	for i := 1; i <= veh.DecoderInputs(); i++ {
-		idx, ok := m.ckt.NetIndex(tnet(i))
-		if !ok {
-			panic("macros: decoder input net missing: " + tnet(i))
-		}
-		m.tIdx = append(m.tIdx, idx)
-	}
-	for bit := 0; bit < veh.Bits; bit++ {
-		name := fmt.Sprintf("b%d", bit)
+	slot := func(name string) int {
 		idx, ok := m.ckt.NetIndex(name)
 		if !ok {
-			panic("macros: decoder output net missing: " + name)
+			panic("macros: decoder net missing: " + name)
 		}
-		m.bIdx = append(m.bIdx, idx)
+		return idx
+	}
+	for i := 1; i <= veh.DecoderInputs(); i++ {
+		m.tIdx = append(m.tIdx, slot(tnet(i)))
+	}
+	for bit := 0; bit < veh.Bits; bit++ {
+		m.bIdx = append(m.bIdx, slot(fmt.Sprintf("b%d", bit)))
 	}
 	m.scratch.New = func() any {
 		s, err := m.ckt.NewScratch()
@@ -139,26 +138,45 @@ func buildOrTree(c *digital.Circuit, out string, ins []string) {
 	}
 }
 
-// decode runs the gate network on the thermometer code for input level k
-// (comparators 1..k fire) and returns the output code.
-func (m *DecoderMacro) decode(k int, f digital.Fault) (int, bool, error) {
+// sweep drives every thermometer level 0..Comparators()-1 through the
+// gate network (at level k comparators 1..k fire), 64 levels per
+// evaluation word, and hands each level's output code to visit. It
+// reports whether any level drove a bridge to a conflict (or the fault
+// is IDDQ-only).
+func (m *DecoderMacro) sweep(ctx context.Context, f digital.Fault, visit func(level, code int)) (bool, error) {
 	s := m.scratch.Get().(*digital.Scratch)
 	defer m.scratch.Put(s)
-	s.Reset()
-	for i, idx := range m.tIdx {
-		s.Set(idx, i+1 <= k)
-	}
-	iddq, _, err := m.ckt.EvalInto(s, f)
-	if err != nil {
-		return 0, false, err
-	}
-	code := 0
-	for bit, idx := range m.bIdx {
-		if s.Val(idx) {
-			code |= 1 << bit
+	n := m.Veh.Comparators()
+	iddq := false
+	for base := 0; base < n; base += 64 {
+		if err := ctx.Err(); err != nil {
+			return false, err
+		}
+		lanes := min(n-base, 64)
+		valid := ^uint64(0) >> (64 - lanes)
+		s.Reset()
+		for i, idx := range m.tIdx {
+			// t_{i+1} fires in lane l (level base+l) iff l >= i+1-base.
+			word := ^uint64(0)
+			if d := i + 1 - base; d > 0 {
+				word <<= d // 0 once d >= 64
+			}
+			s.Set(idx, word)
+		}
+		hit, _, err := m.ckt.EvalInto(s, f)
+		if err != nil {
+			return false, err
+		}
+		iddq = iddq || hit&valid != 0
+		for l := 0; l < lanes; l++ {
+			code := 0
+			for bit, idx := range m.bIdx {
+				code |= int(s.Val(idx)>>l&1) << bit
+			}
+			visit(base+l, code)
 		}
 	}
-	return code, iddq, nil
+	return iddq, nil
 }
 
 // mapFault converts a layout-extracted fault record into the gate-level
@@ -252,37 +270,20 @@ func (m *DecoderMacro) Respond(ctx context.Context, f *faults.Fault, opt Respond
 	}
 	resp := &signature.Response{Currents: map[string]float64{}}
 	sp := opt.span(obs.StageInject, m.Name())
+	// A defect with no gate-level effect maps to the fault-free model.
 	var df digital.Fault
 	if f != nil {
-		var ok bool
-		df, ok = m.mapFault(f)
-		if !ok {
-			df = digital.Fault{}
-		}
+		df, _ = m.mapFault(f)
 	}
 	sp.End()
 	sp = opt.span(obs.StageFaultSim, m.Name())
+	// Codes are Bits wide, so every one indexes seen.
 	seen := make([]bool, m.Veh.Comparators())
-	iddq := false
-	erratic := false
-	for k := 0; k < m.Veh.Comparators(); k++ {
-		if err := ctx.Err(); err != nil {
-			sp.End()
-			return nil, err
-		}
-		code, hit, err := m.decode(k, df)
-		if err != nil {
-			sp.End()
-			return nil, err
-		}
-		iddq = iddq || hit
-		if code >= 0 && code < len(seen) {
-			seen[code] = true
-		} else {
-			erratic = true
-		}
-	}
+	iddq, err := m.sweep(ctx, df, func(_, code int) { seen[code] = true })
 	sp.End()
+	if err != nil {
+		return nil, err
+	}
 	// IDDQ is reported as the crowbar-current estimate of one fighting
 	// gate pair (the digital supply is otherwise quiescent).
 	const crowbar = 1e-3
@@ -295,20 +296,10 @@ func (m *DecoderMacro) Respond(ctx context.Context, f *faults.Fault, opt Respond
 		return resp, nil
 	}
 	csp := opt.span(obs.StageClassify, m.Name())
-	missing := false
-	for _, s := range seen {
-		if !s {
-			missing = true
-		}
-	}
-	switch {
-	case erratic:
-		resp.Voltage = signature.VSigMixed
-		resp.MissingCode = true
-	case missing:
+	if slices.Contains(seen, false) {
 		resp.Voltage = signature.VSigStuck
 		resp.MissingCode = true
-	default:
+	} else {
 		resp.Voltage = signature.VSigNone
 	}
 	csp.End()

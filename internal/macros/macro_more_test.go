@@ -11,14 +11,21 @@ import (
 
 func TestDecoderExhaustiveIdentity(t *testing.T) {
 	m := NewDecoder(DefaultVehicle())
-	for k := 0; k < DefaultVehicle().Comparators(); k++ {
-		code, iddq, err := m.decode(k, faultNone())
-		if err != nil {
-			t.Fatal(err)
+	levels := 0
+	iddq, err := m.sweep(context.Background(), faultNone(), func(k, code int) {
+		if k != levels {
+			t.Fatalf("level %d visited after %d levels", k, levels)
 		}
-		if code != k || iddq {
-			t.Fatalf("decode(%d) = %d iddq=%v", k, code, iddq)
+		levels++
+		if code != k {
+			t.Fatalf("level %d decodes to %d", k, code)
 		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if iddq || levels != DefaultVehicle().Comparators() {
+		t.Fatalf("sweep: iddq=%v after %d levels", iddq, levels)
 	}
 }
 

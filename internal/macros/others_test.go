@@ -250,17 +250,20 @@ func TestBiasgenLayout(t *testing.T) {
 // --- Decoder ---
 
 func TestDecoderFaultFreeIdentity(t *testing.T) {
-	m := NewDecoder(DefaultVehicle())
-	for _, k := range []int{0, 1, 2, 64, 127, 128, 200, 255} {
-		code, iddq, err := m.decode(k, faultNone())
+	// Every decoder width up to the family's widest: 2 to 5 bits fill
+	// part of one 64-lane word, 8 bits four full words.
+	for bits := 2; bits <= MaxBits; bits++ {
+		m := NewDecoder(Vehicle{Bits: bits})
+		iddq, err := m.sweep(context.Background(), faultNone(), func(k, code int) {
+			if code != k {
+				t.Fatalf("%d bit: level %d decodes to %d", bits, k, code)
+			}
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if code != k {
-			t.Fatalf("decode(%d) = %d", k, code)
-		}
 		if iddq {
-			t.Fatal("fault-free decode must be quiescent")
+			t.Fatalf("%d bit: fault-free decode must be quiescent", bits)
 		}
 	}
 }
